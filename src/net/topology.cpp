@@ -15,6 +15,7 @@ Topology::Topology(int num_ranks, int ports_per_rank)
   }
   peer_.resize(static_cast<std::size_t>(num_ranks) *
                static_cast<std::size_t>(ports_per_rank));
+  adj_.resize(static_cast<std::size_t>(num_ranks));
   switch_.assign(static_cast<std::size_t>(num_ranks), false);
 }
 
@@ -69,6 +70,18 @@ void Topology::Connect(PortId a, PortId b) {
   }
   peer_[static_cast<std::size_t>(ia)] = b;
   peer_[static_cast<std::size_t>(ib)] = a;
+  // Keep each adjacency list in port order, whatever order cables come in.
+  const auto add = [this](PortId self, PortId far) {
+    auto& list = adj_[static_cast<std::size_t>(self.rank)];
+    const std::pair<int, int> entry{far.rank, self.port};
+    list.insert(std::upper_bound(list.begin(), list.end(), entry,
+                                 [](const auto& x, const auto& y) {
+                                   return x.second < y.second;
+                                 }),
+                entry);
+  };
+  add(a, b);
+  add(b, a);
 }
 
 std::optional<PortId> Topology::Peer(PortId p) const {
@@ -87,13 +100,11 @@ std::vector<std::pair<PortId, PortId>> Topology::Connections() const {
   return out;
 }
 
-std::vector<std::pair<int, int>> Topology::Neighbors(int rank) const {
-  std::vector<std::pair<int, int>> out;
-  for (int q = 0; q < ports_per_rank_; ++q) {
-    const std::optional<PortId> b = Peer(PortId{rank, q});
-    if (b) out.emplace_back(b->rank, q);
+const std::vector<std::pair<int, int>>& Topology::Neighbors(int rank) const {
+  if (rank < 0 || rank >= num_ranks_) {
+    throw ConfigError("rank out of range: " + std::to_string(rank));
   }
-  return out;
+  return adj_[static_cast<std::size_t>(rank)];
 }
 
 bool Topology::IsConnected() const {

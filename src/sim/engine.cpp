@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <condition_variable>
 #include <mutex>
 #include <sstream>
@@ -145,16 +146,13 @@ void Engine::ConstrainEpochLength(Cycle bound) {
 }
 
 void Engine::WakeComponentAt(Component& component, Cycle cycle) {
-  std::size_t index = components_.size();
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i].get() == &component) {
-      index = i;
-      break;
-    }
-  }
-  // Unknown component, or no event-driven run prepared yet (the synchronous
-  // scheduler steps everything each cycle regardless).
-  if (index >= comp_recs_.size() || index >= comp_part_.size()) return;
+  const auto it = comp_index_.find(&component);
+  // Unknown component, no event-driven run prepared yet (the synchronous
+  // scheduler steps everything each cycle regardless), or a cut component
+  // whose halves step in its place.
+  if (it == comp_index_.end()) return;
+  const std::size_t index = it->second;
+  if (index >= comp_pos_.size() || comp_pos_[index] == kNoPosition) return;
   if (!partitions_.empty()) {
     ScheduleComponent(partitions_[static_cast<std::size_t>(comp_part_[index])],
                       index, cycle);
@@ -176,14 +174,9 @@ void Engine::FidelitySyncPoint() {
 
 void Engine::SetComponentFifoWakeSuspended(const Component& component,
                                            bool suspended) {
-  std::size_t index = components_.size();
-  for (std::size_t i = 0; i < components_.size(); ++i) {
-    if (components_[i].get() == &component) {
-      index = i;
-      break;
-    }
-  }
-  if (index >= components_.size()) return;
+  const auto it = comp_index_.find(&component);
+  if (it == comp_index_.end()) return;
+  const std::size_t index = it->second;
   if (comp_fifo_wake_off_.size() < components_.size()) {
     comp_fifo_wake_off_.resize(components_.size(), 0);
   }
@@ -268,32 +261,84 @@ bool Engine::StepCycleSync() {
   return progress;
 }
 
-void Engine::ScheduleComponent(Partition& p, std::size_t index, Cycle cycle) {
-  if (cycle == kNeverCycle) return;
-  ComponentRec& rec = comp_recs_[index];
-  if (cycle < rec.next_wake) {
-    rec.next_wake = cycle;
-    p.comp_heap.emplace(cycle, index);
+void Engine::WakeQueue::Reset(std::size_t size, Cycle now) {
+  next_.assign(size, kNeverCycle);
+  bucket_.assign((size + 63) / 64, 0);
+  bucket_cycle_ = now;
+  lo_word_ = bucket_.size();
+  hi_word_ = 0;
+  far_ = {};
+}
+
+void Engine::WakeQueue::SetBit(std::size_t pos) {
+  const std::size_t word = pos / 64;
+  bucket_[word] |= std::uint64_t{1} << (pos % 64);
+  lo_word_ = std::min(lo_word_, word);
+  hi_word_ = std::max(hi_word_, word + 1);
+}
+
+void Engine::WakeQueue::Schedule(std::size_t pos, Cycle cycle) {
+  if (cycle >= next_[pos]) return;  // also drops kNeverCycle
+  next_[pos] = cycle;
+  if (cycle == bucket_cycle_) {
+    SetBit(pos);
+  } else {
+    far_.emplace(cycle, pos);
   }
+}
+
+void Engine::WakeQueue::CollectDue(Cycle now,
+                                   const std::vector<std::size_t>& ids,
+                                   std::vector<std::size_t>& out) {
+  out.clear();
+  // A bit is live iff its position is still scheduled for the bucket's
+  // cycle (an earlier reschedule leaves a stale bit behind). That cycle is
+  // `now` unless the clock jumped over an empty bucket or a wake was asked
+  // for a cycle already past; live bits are due now either way.
+  const Cycle due = bucket_cycle_;
+  while (!far_.empty() && far_.top().first <= now) {
+    const auto [cycle, pos] = far_.top();
+    far_.pop();
+    if (next_[pos] != cycle) continue;
+    next_[pos] = due;
+    SetBit(pos);
+  }
+  for (std::size_t w = lo_word_; w < hi_word_; ++w) {
+    for (std::uint64_t bits = std::exchange(bucket_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      const std::size_t pos = w * 64 + std::countr_zero(bits);
+      if (next_[pos] != due) continue;
+      next_[pos] = kNeverCycle;
+      out.push_back(ids[pos]);
+    }
+  }
+  lo_word_ = bucket_.size();
+  hi_word_ = 0;
+  bucket_cycle_ = now + 1;
+}
+
+Cycle Engine::WakeQueue::NextCycle() {
+  while (!far_.empty() && next_[far_.top().second] != far_.top().first) {
+    far_.pop();
+  }
+  Cycle next = far_.empty() ? kNeverCycle : far_.top().first;
+  if (lo_word_ < hi_word_) next = std::min(next, bucket_cycle_);
+  return next;
+}
+
+void Engine::ScheduleComponent(Partition& p, std::size_t index, Cycle cycle) {
+  p.comp_wakes.Schedule(comp_pos_[index], cycle);
 }
 
 void Engine::ScheduleKernel(Partition& p, std::size_t index, Cycle cycle) {
-  if (cycle == kNeverCycle) return;
-  KernelSlot& slot = kernels_[index];
-  if (cycle < slot.next_poll) {
-    slot.next_poll = cycle;
-    p.kernel_heap.emplace(cycle, index);
-  }
+  p.kernel_wakes.Schedule(kernel_pos_[index], cycle);
 }
 
-void Engine::RegisterWatch(Partition& p, std::size_t kernel_index) {
-  KernelSlot& slot = kernels_[kernel_index];
+void Engine::CollectWatches(Partition& p, std::size_t kernel_index) {
+  const KernelSlot& slot = kernels_[kernel_index];
   p.watch_scratch.clear();
   slot.kernel.promise().blocker->WatchFifos(p.watch_scratch);
-  slot.watch_effective = false;
   for (const FifoBase* fifo : p.watch_scratch) {
-    // FIFOs owned by a different engine (or none) cannot wake us through the
-    // commit phase; the caller falls back to polling every cycle.
     if (fifo == nullptr || fifo->sched_owner() != this) continue;
     if (fifo_part_[fifo->sched_index()] != p.index) {
       throw ConfigError("kernel " + slot.name + " watches FIFO " +
@@ -301,9 +346,19 @@ void Engine::RegisterWatch(Partition& p, std::size_t kernel_index) {
                         " owned by another partition; only cut links may "
                         "cross partitions");
     }
+  }
+}
+
+void Engine::RegisterWatch(Partition& p, std::size_t kernel_index) {
+  KernelSlot& slot = kernels_[kernel_index];
+  CollectWatches(p, kernel_index);
+  slot.watch_armed = true;
+  for (const FifoBase* fifo : p.watch_scratch) {
+    // FIFOs owned by a different engine (or none) cannot wake us through the
+    // commit phase; the caller falls back to polling every cycle.
+    if (fifo == nullptr || fifo->sched_owner() != this) continue;
     fifo_recs_[fifo->sched_index()].kernel_watchers.push_back(kernel_index);
     slot.watching.push_back(fifo->sched_index());
-    slot.watch_effective = true;
   }
 }
 
@@ -315,12 +370,19 @@ void Engine::UnregisterWatch(std::size_t kernel_index) {
                    watchers.end());
   }
   slot.watching.clear();
-  slot.watch_effective = false;
+  slot.watch_armed = false;
+}
+
+void Engine::RearmKernel(Partition& p, std::size_t kernel_index, Cycle now) {
+  KernelSlot& slot = kernels_[kernel_index];
+  if (!slot.watch_armed) RegisterWatch(p, kernel_index);
+  Cycle next = slot.kernel.promise().blocker->NextPollCycle(now);
+  if (slot.watching.empty() && next == kNeverCycle) next = now + 1;
+  ScheduleKernel(p, kernel_index, next);
 }
 
 void Engine::ParkKernel(Partition& p, std::size_t kernel_index) {
-  KernelSlot& slot = kernels_[kernel_index];
-  Kernel::promise_type& promise = slot.kernel.promise();
+  Kernel::promise_type& promise = kernels_[kernel_index].kernel.promise();
   const Cycle now = *p.clock;
   if (promise.blocker == nullptr) {
     // Suspended without a blocker (should not happen with the provided
@@ -328,15 +390,22 @@ void Engine::ParkKernel(Partition& p, std::size_t kernel_index) {
     ScheduleKernel(p, kernel_index, now + 1);
     return;
   }
-  RegisterWatch(p, kernel_index);
-  Cycle next = promise.blocker->NextPollCycle(now);
-  if (!slot.watch_effective && next == kNeverCycle) next = now + 1;
-  ScheduleKernel(p, kernel_index, next);
+  if (promise.blocker->NextPollCycle(now) == now + 1) {
+    // Re-poll next cycle without registering watches: a commit this cycle
+    // could only schedule the kernel for now+1, where it already is. The
+    // watches are registered if that poll fails (RearmKernel). A watch
+    // across partitions must still be refused here, at the park.
+    if (partitions_.size() > 1) CollectWatches(p, kernel_index);
+    ScheduleKernel(p, kernel_index, now + 1);
+    return;
+  }
+  RearmKernel(p, kernel_index, now);
 }
 
 void Engine::PreparePartition(Partition& p) {
-  p.comp_heap = WakeHeap();
-  p.kernel_heap = WakeHeap();
+  const Cycle now = *p.clock;
+  p.comp_wakes.Reset(p.components.size(), now);
+  p.kernel_wakes.Reset(p.kernels.size(), now);
   p.due_components.clear();
   p.due_kernels.clear();
   p.resume_log.clear();
@@ -345,9 +414,7 @@ void Engine::PreparePartition(Partition& p) {
   p.error = nullptr;
   p.error_cycle = kNeverCycle;
   p.dirty.clear();
-  const Cycle now = *p.clock;
   for (const std::size_t i : p.components) {
-    comp_recs_[i] = ComponentRec{};
     p.watch_scratch.clear();
     components_[i]->DeclareWakeFifos(p.watch_scratch);
     for (const FifoBase* fifo : p.watch_scratch) {
@@ -364,9 +431,8 @@ void Engine::PreparePartition(Partition& p) {
   }
   for (const std::size_t i : p.kernels) {
     KernelSlot& slot = kernels_[i];
-    slot.next_poll = kNeverCycle;
     slot.watching.clear();
-    slot.watch_effective = false;
+    slot.watch_armed = false;
     if (!slot.done && !slot.daemon) ++p.app_pending;
     if (slot.done) continue;
     if (slot.kernel.promise().blocker != nullptr) RegisterWatch(p, i);
@@ -388,7 +454,8 @@ void Engine::PrepareWholePartition() {
   fifo_part_.assign(fifos_.size(), 0);
   comp_part_.assign(components_.size(), 0);
   kernel_part_.assign(kernels_.size(), 0);
-  comp_recs_.assign(components_.size(), ComponentRec{});
+  comp_pos_ = whole_.components;
+  kernel_pos_ = whole_.kernels;
   fifo_recs_.assign(fifos_.size(), FifoRec{});
   PreparePartition(whole_);
 }
@@ -405,28 +472,10 @@ bool Engine::StepCycleEvent(Partition& p) {
   const Cycle now = *p.clock;
   bool progress = false;
 
-  // Collect the entities due this cycle. Heap entries are lazily invalidated,
-  // so an entry only counts if it matches the entity's scheduled cycle.
-  // Indices are sorted so phases run in registration order, exactly like the
-  // synchronous scheduler.
-  p.due_kernels.clear();
-  while (!p.kernel_heap.empty() && p.kernel_heap.top().first <= now) {
-    const auto [cycle, index] = p.kernel_heap.top();
-    p.kernel_heap.pop();
-    if (kernels_[index].next_poll != cycle) continue;
-    kernels_[index].next_poll = kNeverCycle;
-    p.due_kernels.push_back(index);
-  }
-  std::sort(p.due_kernels.begin(), p.due_kernels.end());
-  p.due_components.clear();
-  while (!p.comp_heap.empty() && p.comp_heap.top().first <= now) {
-    const auto [cycle, index] = p.comp_heap.top();
-    p.comp_heap.pop();
-    if (comp_recs_[index].next_wake != cycle) continue;
-    comp_recs_[index].next_wake = kNeverCycle;
-    p.due_components.push_back(index);
-  }
-  std::sort(p.due_components.begin(), p.due_components.end());
+  // Collect the entities due this cycle, in registration order, exactly
+  // like the synchronous scheduler visits them.
+  p.kernel_wakes.CollectDue(now, p.kernels, p.due_kernels);
+  p.comp_wakes.CollectDue(now, p.components, p.due_components);
 
   // Phase 1: poll due kernels; resume the ones whose operation succeeds.
   for (const std::size_t index : p.due_kernels) {
@@ -435,10 +484,9 @@ bool Engine::StepCycleEvent(Partition& p) {
     Kernel::promise_type& promise = slot.kernel.promise();
     if (promise.blocker != nullptr) {
       if (!promise.blocker->TryComplete(now)) {
-        // Still blocked: re-arm the timed poll; FIFO watches stay in place.
-        Cycle next = promise.blocker->NextPollCycle(now);
-        if (!slot.watch_effective && next == kNeverCycle) next = now + 1;
-        ScheduleKernel(p, index, next);
+        // Still blocked: re-arm the timed poll; FIFO watches stay in place
+        // (or are registered now, after a watch-free next-cycle re-poll).
+        RearmKernel(p, index, now);
         continue;
       }
       promise.blocker = nullptr;
@@ -496,20 +544,7 @@ bool Engine::StepCycleEvent(Partition& p) {
 }
 
 Cycle Engine::NextEventCycle(Partition& p) {
-  while (!p.comp_heap.empty() &&
-         comp_recs_[p.comp_heap.top().second].next_wake !=
-             p.comp_heap.top().first) {
-    p.comp_heap.pop();
-  }
-  while (!p.kernel_heap.empty() &&
-         kernels_[p.kernel_heap.top().second].next_poll !=
-             p.kernel_heap.top().first) {
-    p.kernel_heap.pop();
-  }
-  Cycle next = kNeverCycle;
-  if (!p.comp_heap.empty()) next = std::min(next, p.comp_heap.top().first);
-  if (!p.kernel_heap.empty()) next = std::min(next, p.kernel_heap.top().first);
-  return next;
+  return std::min(p.comp_wakes.NextCycle(), p.kernel_wakes.NextCycle());
 }
 
 void Engine::JumpIdleCycles(Cycle target, bool accounted) {
@@ -775,7 +810,16 @@ void Engine::PrepareParallelRun(unsigned workers) {
   // parallel run so the final-epoch overshoot can be undone (see CutLink).
   for (CutRec& cut : cuts_) cut.cut->BeginParallelRun();
 
-  comp_recs_.assign(components_.size(), ComponentRec{});
+  comp_pos_.assign(components_.size(), kNoPosition);
+  kernel_pos_.assign(kernels_.size(), kNoPosition);
+  for (const Partition& p : partitions_) {
+    for (std::size_t k = 0; k < p.components.size(); ++k) {
+      comp_pos_[p.components[k]] = k;
+    }
+    for (std::size_t k = 0; k < p.kernels.size(); ++k) {
+      kernel_pos_[p.kernels[k]] = k;
+    }
+  }
   fifo_recs_.assign(fifos_.size(), FifoRec{});
   for (Partition& p : partitions_) PreparePartition(p);
 
@@ -806,6 +850,10 @@ void Engine::CleanupParallelRun() {
   // partitions.
   for (Partition& p : partitions_) whole_.resumes += p.resumes;
   partitions_.clear();
+  // Positions index the dropped partitions' queues: until the next run is
+  // prepared, WakeComponentAt has nothing to schedule into.
+  comp_pos_.clear();
+  kernel_pos_.clear();
   for (FlowLinkControl* link : flow_links_) link->SetForcedCycle(false);
   parallel_active_ = false;
 }

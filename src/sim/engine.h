@@ -35,7 +35,15 @@
 ///       faithfully even across idle gaps);
 ///     - parked kernels are re-polled when a FIFO reported by their
 ///       blocker's `Blocker::WatchFifos` commits a transfer, or at the
-///       blocker's `NextPollCycle` (timed waits sleep until their deadline);
+///       blocker's `NextPollCycle` (timed waits sleep until their deadline).
+///       A kernel whose blocker asks for `now+1` (an II=1 operation parked
+///       only because its port was used this cycle) is re-polled then
+///       without registering FIFO watches; they are registered only if that
+///       poll fails, since a commit this cycle could only have woken it at
+///       `now+1` anyway;
+///     - due entities live in a per-partition wake queue: a bitset bucket
+///       for the next cycle, scanned in index order, plus a heap for the
+///       rarer wakes further out, so the common `now+1` wake costs one bit;
 ///     - when no entity is due, the engine jumps `now` directly to the next
 ///       scheduled event, charging the skipped cycles to the idle watchdog
 ///       and max-cycles accounting exactly as if they had been stepped.
@@ -107,6 +115,7 @@
 #include <mutex>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -214,6 +223,7 @@ class Engine {
   C& MakeComponent(Args&&... args) {
     auto component = std::make_unique<C>(std::forward<Args>(args)...);
     C& ref = *component;
+    comp_index_.emplace(&ref, components_.size());
     comp_tags_.push_back(current_tag_);
     components_.push_back(std::move(component));
     return ref;
@@ -301,24 +311,49 @@ class Engine {
     bool daemon = false;
     bool done = false;
     // Event-driven scheduling state.
-    Cycle next_poll = kNeverCycle;  ///< scheduled poll cycle (kNever = none)
+    bool watch_armed = false;  ///< blocker's watches are registered
     std::vector<std::size_t> watching;  ///< FIFO indices with a watch entry
-    bool watch_effective = false;  ///< at least one watched FIFO is ours
     obs::KernelProbe* probe = nullptr;  ///< telemetry block (null = off)
-  };
-  struct ComponentRec {
-    Cycle next_wake = kNeverCycle;  ///< scheduled step cycle (kNever = none)
   };
   struct FifoRec {
     std::vector<std::size_t> component_subs;   ///< components to wake
     std::vector<std::size_t> kernel_watchers;  ///< parked kernels to re-poll
   };
-  /// Min-heap of (cycle, entity index) with lazy deletion: an entry is live
-  /// iff it matches the entity's currently scheduled cycle.
-  using WakeHeap =
-      std::priority_queue<std::pair<Cycle, std::size_t>,
-                          std::vector<std::pair<Cycle, std::size_t>>,
-                          std::greater<std::pair<Cycle, std::size_t>>>;
+
+  /// When each of one partition's kernels (or components) is next due.
+  /// Entities are addressed by their position in the partition's ascending
+  /// entity list, so position order is registration order. Wakes for the
+  /// bucket's cycle (the next cycle while a step runs) set one bit; other
+  /// wakes go to a min-heap with lazy deletion (an entry is live iff it
+  /// matches the entity's scheduled cycle). Collecting a cycle's due set
+  /// moves the matured heap entries into the bucket and scans its touched
+  /// words in order, so the result needs no sort.
+  class WakeQueue {
+   public:
+    /// Forget every wake; the bucket starts at cycle `now`.
+    void Reset(std::size_t size, Cycle now);
+    /// Request a wake of `pos` at `cycle`; the earliest request wins.
+    void Schedule(std::size_t pos, Cycle cycle);
+    /// Replace `out` with `ids[pos]` for every `pos` due at or before `now`,
+    /// ascending, and unschedule them. The bucket then holds `now + 1`.
+    void CollectDue(Cycle now, const std::vector<std::size_t>& ids,
+                    std::vector<std::size_t>& out);
+    /// Earliest scheduled cycle, or kNeverCycle.
+    Cycle NextCycle();
+
+   private:
+    void SetBit(std::size_t pos);
+
+    std::vector<Cycle> next_;  ///< scheduled cycle per position
+    std::vector<std::uint64_t> bucket_;  ///< positions due at bucket_cycle_
+    Cycle bucket_cycle_ = 0;
+    std::size_t lo_word_ = 1;  ///< bucket words [lo_word_, hi_word_) may
+    std::size_t hi_word_ = 0;  ///< hold bits; empty when lo_word_ >= hi_word_
+    std::priority_queue<std::pair<Cycle, std::size_t>,
+                        std::vector<std::pair<Cycle, std::size_t>>,
+                        std::greater<std::pair<Cycle, std::size_t>>>
+        far_;
+  };
 
   /// One partition's worth of event-driven scheduler state. The sequential
   /// schedulers use a single instance (`whole_`) spanning every entity; the
@@ -349,8 +384,8 @@ class Engine {
 
     // Event machinery.
     std::vector<FifoBase*> dirty;
-    WakeHeap comp_heap;
-    WakeHeap kernel_heap;
+    WakeQueue comp_wakes;
+    WakeQueue kernel_wakes;
     std::vector<std::size_t> due_components;
     std::vector<std::size_t> due_kernels;
     std::vector<const FifoBase*> watch_scratch;
@@ -387,8 +422,14 @@ class Engine {
   void PreparePartition(Partition& p);
   void ScheduleComponent(Partition& p, std::size_t index, Cycle cycle);
   void ScheduleKernel(Partition& p, std::size_t index, Cycle cycle);
+  /// Fill `p.watch_scratch` with the parked kernel's watch FIFOs; throws
+  /// ConfigError if one belongs to another partition.
+  void CollectWatches(Partition& p, std::size_t kernel_index);
   void RegisterWatch(Partition& p, std::size_t kernel_index);
   void UnregisterWatch(std::size_t kernel_index);
+  /// Schedule a kernel whose blocker just failed at `now`: at its timed
+  /// poll, or every cycle if nothing it watches can wake it.
+  void RearmKernel(Partition& p, std::size_t kernel_index, Cycle now);
   void ParkKernel(Partition& p, std::size_t kernel_index);
   /// Earliest scheduled component/kernel cycle, or kNeverCycle if none.
   Cycle NextEventCycle(Partition& p);
@@ -420,6 +461,8 @@ class Engine {
   Cycle idle_cycles_ = 0;
   std::vector<std::unique_ptr<FifoBase>> fifos_;
   std::vector<std::unique_ptr<Component>> components_;
+  /// Component -> index in `components_` (adapters excluded).
+  std::unordered_map<const Component*, std::size_t> comp_index_;
   std::vector<KernelSlot> kernels_;
 
   // Partition tags. `tag_clocks_` is a deque so slot addresses stay stable
@@ -453,14 +496,18 @@ class Engine {
   std::atomic<Cycle> next_global_event_{kNeverCycle};
   Cycle epoch_cap_external_ = kNeverCycle;
 
-  // Entity -> partition maps, resolved per run (all zero for sequential).
+  // Entity -> partition maps, resolved per run (all zero for sequential),
+  // and entity -> position in its partition's entity list (the wake-queue
+  // address; kNoPosition for a split cut component's fused original).
   std::vector<int> fifo_part_;
   std::vector<int> comp_part_;
   std::vector<int> kernel_part_;
+  std::vector<std::size_t> comp_pos_;
+  std::vector<std::size_t> kernel_pos_;
+  static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
 
   // Global scheduling records, indexed by entity id. Parallel partitions
   // own disjoint entity sets, so concurrent access stays race-free.
-  std::vector<ComponentRec> comp_recs_;
   std::vector<FifoRec> fifo_recs_;
 
   /// The all-entities partition used by the sequential schedulers (and as

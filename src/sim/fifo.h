@@ -124,28 +124,57 @@ class FifoBase {
   const void* sched_owner() const { return sched_owner_; }
   std::size_t sched_index() const { return sched_index_; }
 
+  /// True if the write (read) port was used since the last cycle boundary.
+  bool push_port_used() const { return push_used_; }
+  bool pop_port_used() const { return pop_used_; }
+
+  /// Report this FIFO's empty <-> non-empty transitions (of `occupancy()`)
+  /// to `*counter`, a count of non-empty FIFOs kept by the one reader that
+  /// polls them (a CK's PollingArbiter). The counter is credited at once if
+  /// the FIFO already holds data. A FIFO reports to at most one counter.
+  void AttachOccupancyCounter(std::size_t* counter) {
+    if (occupancy_counter_ != nullptr) {
+      throw ConfigError("FIFO already reports its occupancy elsewhere: " +
+                        name_);
+    }
+    occupancy_counter_ = counter;
+    if (occupancy() > 0) ++*occupancy_counter_;
+  }
+
  protected:
   void RecordPush(Cycle now) {
     push_used_ = true;
     ++tail_;
+    if (occupancy_counter_ != nullptr) [[unlikely]] {
+      if (tail_ - head_ == 1) ++*occupancy_counter_;
+    }
     MarkDirty();
     if (obs_ != nullptr) obs_->OnPush(now);
   }
   void RecordPop(Cycle now) {
     pop_used_ = true;
     ++head_;
+    if (occupancy_counter_ != nullptr) [[unlikely]] {
+      if (head_ == tail_) --*occupancy_counter_;
+    }
     MarkDirty();
     if (obs_ != nullptr) obs_->OnPop(now);
   }
   void RecordPushBulk(std::size_t n, Cycle now) {
     push_used_ = true;
     tail_ += n;
+    if (occupancy_counter_ != nullptr) [[unlikely]] {
+      if (tail_ - head_ == n) ++*occupancy_counter_;
+    }
     MarkDirty();
     if (obs_ != nullptr) obs_->OnPushBulk(now, n);
   }
   void RecordPopBulk(std::size_t n, Cycle now) {
     pop_used_ = true;
     head_ += n;
+    if (occupancy_counter_ != nullptr) [[unlikely]] {
+      if (head_ == tail_) --*occupancy_counter_;
+    }
     MarkDirty();
     if (obs_ != nullptr) obs_->OnPopBulk(now, n);
   }
@@ -171,6 +200,7 @@ class FifoBase {
   const void* sched_owner_ = nullptr;
   std::vector<FifoBase*>* dirty_list_ = nullptr;
   std::size_t sched_index_ = 0;
+  std::size_t* occupancy_counter_ = nullptr;
   obs::FifoCounters* obs_ = nullptr;
 };
 

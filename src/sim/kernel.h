@@ -147,7 +147,11 @@ struct FifoPushAwaitable final
   void WatchFifos(std::vector<const FifoBase*>& out) const override {
     out.push_back(fifo);
   }
-  Cycle NextPollCycle(Cycle /*now*/) const override { return kNeverCycle; }
+  /// A push blocked only by this cycle's use of the write port may succeed
+  /// next cycle; a full FIFO waits for a pop to commit.
+  Cycle NextPollCycle(Cycle now) const override {
+    return fifo->push_port_used() ? now + 1 : kNeverCycle;
+  }
   void await_resume() const noexcept {}
 
   Fifo<T>* fifo;
@@ -170,7 +174,10 @@ struct FifoPopAwaitable final : detail::AwaitableBase<FifoPopAwaitable<T>> {
   void WatchFifos(std::vector<const FifoBase*>& out) const override {
     out.push_back(fifo);
   }
-  Cycle NextPollCycle(Cycle /*now*/) const override { return kNeverCycle; }
+  /// Mirror of the push hint: a used read port clears at the boundary.
+  Cycle NextPollCycle(Cycle now) const override {
+    return fifo->pop_port_used() ? now + 1 : kNeverCycle;
+  }
   T await_resume() noexcept { return std::move(value); }
 
   Fifo<T>* fifo;

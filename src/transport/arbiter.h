@@ -13,6 +13,7 @@
 /// once every 5 cycles — exactly the 5-cycle injection latency the paper
 /// reports in Table 4.
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -29,8 +30,17 @@ class PollingArbiter {
  public:
   /// `r` is the paper's R parameter (maximum burst length per connection).
   explicit PollingArbiter(int r) : r_(r) {}
+  // The inputs hold a pointer to `inputs_with_data_`: the arbiter stays put.
+  PollingArbiter(const PollingArbiter&) = delete;
+  PollingArbiter& operator=(const PollingArbiter&) = delete;
 
-  void AddInput(PacketFifo& fifo) { inputs_.push_back(&fifo); }
+  /// Append an input connection. The FIFO reports its empty <-> non-empty
+  /// transitions to this arbiter from then on, so it can feed no other one
+  /// (ConfigError).
+  void AddInput(PacketFifo& fifo) {
+    fifo.AttachOccupancyCounter(&inputs_with_data_);
+    inputs_.push_back(&fifo);
+  }
   std::size_t num_inputs() const { return inputs_.size(); }
 
   /// Select the input to service at cycle `now`, or nullptr if the
@@ -78,12 +88,19 @@ class PollingArbiter {
 
   /// True if any input holds a committed or staged packet. Called after the
   /// cycle's commits, this is exactly "some input is poppable next cycle".
+  /// O(1): the inputs keep `inputs_with_data_` current themselves.
   bool AnyInputHasData() const {
-    for (const PacketFifo* in : inputs_) {
-      if (in->occupancy() > 0) return true;
-    }
-    return false;
+    assert(inputs_with_data_ == CountInputsWithData());
+    return inputs_with_data_ > 0;
   }
+  /// Inputs with occupancy > 0, by rescanning them (the count's reference).
+  std::size_t CountInputsWithData() const {
+    std::size_t n = 0;
+    for (const PacketFifo* in : inputs_) n += in->occupancy() > 0 ? 1 : 0;
+    return n;
+  }
+  /// Inputs with occupancy > 0, as maintained by the inputs.
+  std::size_t inputs_with_data() const { return inputs_with_data_; }
 
   /// Append all inputs to `out` (for Component::DeclareWakeFifos).
   void AppendInputs(std::vector<const sim::FifoBase*>& out) const {
@@ -116,6 +133,7 @@ class PollingArbiter {
   bool polled_ = false;
   sim::Cycle last_poll_ = 0;
   std::vector<PacketFifo*> inputs_;
+  std::size_t inputs_with_data_ = 0;
   obs::CkCounters* obs_ = nullptr;
 };
 

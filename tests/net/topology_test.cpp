@@ -33,6 +33,24 @@ TEST(Topology, RejectsInvalidWiring) {
   EXPECT_THROW(Topology(1, 0), ConfigError);
 }
 
+TEST(Topology, NeighborsStayInPortOrderWhateverTheConnectOrder) {
+  Topology t(4, 4);
+  t.Connect(PortId{0, 3}, PortId{1, 0});
+  t.Connect(PortId{0, 0}, PortId{2, 2});
+  t.Connect(PortId{0, 2}, PortId{3, 1});
+  t.Connect(PortId{1, 2}, PortId{2, 0});
+  using Adj = std::vector<std::pair<int, int>>;  // (neighbour, local port)
+  EXPECT_EQ(t.Neighbors(0), (Adj{{2, 0}, {3, 2}, {1, 3}}));
+  EXPECT_EQ(t.Neighbors(1), (Adj{{0, 0}, {2, 2}}));
+  EXPECT_EQ(t.Neighbors(2), (Adj{{1, 0}, {0, 2}}));
+  EXPECT_EQ(t.Neighbors(3), (Adj{{0, 1}}));
+  // A later cable slots in between the existing ones.
+  t.Connect(PortId{0, 1}, PortId{3, 3});
+  EXPECT_EQ(t.Neighbors(0), (Adj{{2, 0}, {3, 1}, {3, 2}, {1, 3}}));
+  EXPECT_EQ(t.Neighbors(3), (Adj{{0, 1}, {0, 3}}));
+  EXPECT_THROW(t.Neighbors(4), ConfigError);
+}
+
 TEST(Topology, BusShape) {
   const Topology t = Topology::Bus(8);
   EXPECT_EQ(t.num_ranks(), 8);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
+
 namespace smi::transport {
 namespace {
 
@@ -148,6 +150,102 @@ TEST(PollingArbiter, StalledGrantRetriesSameInput) {
   // Next cycle the same input must be offered again (hardware cannot drop
   // the latched packet).
   EXPECT_EQ(arb.Select(now), &a);
+}
+
+// The arbiter's count of inputs holding data follows every occupancy change
+// its inputs see, staged or committed, and always equals a rescan.
+TEST(PollingArbiter, CountsInputsWithDataThroughPushAndPop) {
+  sim::Cycle now = 0;
+  PacketFifo a("a", 4), b("b", 4);
+  PollingArbiter arb(1);
+  arb.AddInput(a);
+  arb.AddInput(b);
+  const auto expect_count = [&](std::size_t n) {
+    EXPECT_EQ(arb.inputs_with_data(), n);
+    EXPECT_EQ(arb.CountInputsWithData(), n);
+    EXPECT_EQ(arb.AnyInputHasData(), n > 0);
+  };
+  expect_count(0);
+  a.Push(DataPacket(0), now);  // staged data counts
+  expect_count(1);
+  a.Commit(now);
+  b.Commit(now);
+  ++now;
+  a.Push(DataPacket(1), now);
+  b.Push(DataPacket(2), now);
+  expect_count(2);
+  a.Commit(now);
+  b.Commit(now);
+  ++now;
+  (void)a.Pop(now);  // a still holds one packet
+  (void)b.Pop(now);
+  expect_count(1);
+  a.Commit(now);
+  b.Commit(now);
+  ++now;
+  (void)a.Pop(now);
+  expect_count(0);
+}
+
+// The flow-level link path moves packets with modeled bulk operations.
+TEST(PollingArbiter, CountsInputsWithDataThroughModeledBulkOps) {
+  sim::Cycle now = 0;
+  PacketFifo a("a", 8), b("b", 8);
+  PollingArbiter arb(2);
+  arb.AddInput(a);
+  arb.AddInput(b);
+  std::vector<net::Packet> burst(3, DataPacket(0));
+  a.PushBulkModeled(burst.data(), burst.size(), now);
+  b.PushBulkModeled(burst.data(), 0, now);  // an empty bulk op is a no-op
+  EXPECT_EQ(arb.inputs_with_data(), 1u);
+  a.Commit(now);
+  ++now;
+  a.PopBulkModeled(burst.data(), 2, now);
+  EXPECT_EQ(arb.inputs_with_data(), 1u);
+  a.PushBulkModeled(burst.data(), 2, now);
+  b.PushBulkModeled(burst.data(), 2, now);
+  EXPECT_EQ(arb.inputs_with_data(), 2u);
+  a.Commit(now);
+  b.Commit(now);
+  ++now;
+  a.PopBulkModeled(burst.data(), 3, now);
+  (void)b.PopModeled(now);
+  EXPECT_EQ(arb.inputs_with_data(), 1u);
+  EXPECT_EQ(arb.CountInputsWithData(), 1u);
+  b.PopBulkModeled(burst.data(), 1, now);
+  EXPECT_EQ(arb.inputs_with_data(), 0u);
+  EXPECT_FALSE(arb.AnyInputHasData());
+}
+
+// Link failover drains a FIFO wholesale, staged pushes included.
+TEST(PollingArbiter, CountsInputsWithDataThroughDrainAll) {
+  sim::Cycle now = 0;
+  PacketFifo a("a", 4), b("b", 4);
+  a.Push(DataPacket(0), now);  // data before the FIFO is attached counts
+  a.Commit(now);
+  ++now;
+  PollingArbiter arb(1);
+  arb.AddInput(a);
+  arb.AddInput(b);
+  EXPECT_EQ(arb.inputs_with_data(), 1u);
+  a.Push(DataPacket(1), now);
+  b.Push(DataPacket(2), now);
+  EXPECT_EQ(arb.inputs_with_data(), 2u);
+  EXPECT_EQ(a.DrainAll(now).size(), 2u);
+  EXPECT_EQ(arb.inputs_with_data(), 1u);
+  EXPECT_EQ(b.DrainAll(now).size(), 1u);
+  EXPECT_EQ(arb.inputs_with_data(), 0u);
+  EXPECT_EQ(arb.CountInputsWithData(), 0u);
+}
+
+TEST(PollingArbiter, InputFeedsOnlyOneArbiter) {
+  PacketFifo a("a", 4);
+  PollingArbiter first(1), second(1);
+  first.AddInput(a);
+  EXPECT_THROW(second.AddInput(a), ConfigError);
+  EXPECT_THROW(first.AddInput(a), ConfigError);
+  EXPECT_EQ(first.num_inputs(), 1u);
+  EXPECT_EQ(second.num_inputs(), 0u);
 }
 
 }  // namespace
