@@ -1,6 +1,7 @@
 #include "core/coll_tree.h"
 
 #include "common/error.h"
+#include "core/support_internal.h"
 
 namespace smi::core {
 
@@ -43,6 +44,34 @@ int BinomialDepth(int n) {
     ++depth;
   }
   return depth;
+}
+
+CollTree::CollTree(const CollConfig& cfg, int my_comm, CollAlgo algo) {
+  const int n = static_cast<int>(cfg.comm_global.size());
+  const int rel = (my_comm - cfg.root_comm + n) % n;
+  switch (algo) {
+    case CollAlgo::kLinear:
+      if (rel != 0) {
+        parent = RelToGlobal(cfg, 0);
+        return;
+      }
+      for (int r = 0; r < n; ++r) {
+        if (r != cfg.root_comm) {
+          children.push_back(cfg.comm_global[static_cast<std::size_t>(r)]);
+        }
+      }
+      return;
+    case CollAlgo::kTree:
+      if (rel != 0) parent = RelToGlobal(cfg, BinomialParent(rel));
+      for (const int child : BinomialChildren(rel, n)) {
+        children.push_back(RelToGlobal(cfg, child));
+      }
+      return;
+    case CollAlgo::kInnet: break;
+  }
+  throw ConfigError(
+      "CollTree: the in-network reduce has no support-kernel tree (its fan "
+      "tree follows the routes)");
 }
 
 }  // namespace smi::core

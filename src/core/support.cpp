@@ -1,14 +1,12 @@
-#include "core/support.h"
-
 #include <algorithm>
 #include <map>
 #include <vector>
 
-#include "common/error.h"
+#include "core/coll_tree.h"
+#include "core/support_internal.h"
 #include "sim/engine.h"
 
 namespace smi::core {
-namespace {
 
 using net::OpType;
 using net::Packet;
@@ -17,71 +15,6 @@ using sim::Kernel;
 using sim::NextCycle;
 using sim::fifo_pop;
 using sim::fifo_push;
-
-CollConfig GetConfig(CollToken&& tok, const char* kernel) {
-  if (!std::holds_alternative<CollConfig>(tok)) {
-    throw ConfigError(std::string(kernel) +
-                      ": expected a channel-open config token, got a data "
-                      "element (did the application open the channel?)");
-  }
-  return std::get<CollConfig>(std::move(tok));
-}
-
-Element GetElement(CollToken&& tok, const char* kernel) {
-  if (!std::holds_alternative<Element>(tok)) {
-    throw ConfigError(std::string(kernel) +
-                      ": expected a data element, got a config token (message "
-                      "shorter than the declared count?)");
-  }
-  return std::get<Element>(tok);
-}
-
-int MyCommRank(const CollConfig& cfg, int my_global, const char* kernel) {
-  for (std::size_t i = 0; i < cfg.comm_global.size(); ++i) {
-    if (cfg.comm_global[i] == my_global) return static_cast<int>(i);
-  }
-  throw ConfigError(std::string(kernel) + ": rank " +
-                    std::to_string(my_global) +
-                    " is not a member of the collective's communicator");
-}
-
-Packet MakeSync(const SupportCtx& ctx, int dst_global, OpType op) {
-  Packet p;
-  p.hdr.src = static_cast<std::uint16_t>(ctx.my_global);
-  p.hdr.dst = static_cast<std::uint16_t>(dst_global);
-  p.hdr.port = static_cast<std::uint8_t>(ctx.port);
-  p.hdr.op = op;
-  p.hdr.count = 0;
-  return p;
-}
-
-void PackElement(Packet& pkt, int index, const Element& e, std::size_t size) {
-  pkt.StoreBytes(static_cast<std::size_t>(index) * size, e.bytes.data(), size);
-}
-
-Element UnpackElement(const Packet& pkt, int index, std::size_t size) {
-  Element e;
-  pkt.LoadBytes(static_cast<std::size_t>(index) * size, e.bytes.data(), size);
-  return e;
-}
-
-/// Rendezvous bookkeeping: counts READY syncs per source rank, persisting
-/// across successive channel opens on the same port so that an early READY
-/// for the *next* open (from a fast rank) is credited correctly.
-class ReadyLedger {
- public:
-  void Record(int src_global) { ++counts_[src_global]; }
-  bool Has(int src_global) const {
-    const auto it = counts_.find(src_global);
-    return it != counts_.end() && it->second > 0;
-  }
-  void Consume(int src_global) { --counts_[src_global]; }
-
- private:
-  std::map<int, int> counts_;
-};
-
-}  // namespace
 
 void NotifyCollectiveSyncPoint(const SupportCtx& ctx) {
   if (ctx.engine != nullptr) ctx.engine->FidelitySyncPoint();
@@ -99,44 +32,48 @@ const char* CollKindName(CollKind k) {
 }
 
 // ---------------------------------------------------------------------------
-// Bcast (§4.4): the root waits for a READY from every non-root (one-to-all
-// rendezvous), then streams packets, replicating each to every non-root in a
-// linear scheme. Non-roots send READY once and then forward arriving data
-// elements to their application.
+// Bcast (§4.4) over a CollTree: every non-root sends READY to its parent,
+// and a node streams to a child only after that child's READY (one-to-all
+// rendezvous). The root assembles each packet from its application's
+// elements; every other node receives it from its parent and delivers its
+// elements locally. Each node then forwards the packet to its children —
+// under the flat tree of kLinear, the root replicating every packet to all
+// n-1 peers in communicator order.
 // ---------------------------------------------------------------------------
-Kernel BcastSupportKernel(SupportCtx ctx) {
+Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
   ReadyLedger readies;
   for (;;) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "BcastSupport");
     NotifyCollectiveSyncPoint(ctx);  // channel open
-    const int n = static_cast<int>(cfg.comm_global.size());
-    const int me = MyCommRank(cfg, ctx.my_global, "BcastSupport");
+    const CollTree tree(cfg, MyCommRank(cfg, ctx.my_global, "BcastSupport"),
+                        algo);
     const int epp = static_cast<int>(ElementsPerPacket(cfg.type));
     const std::size_t esz = SizeOf(cfg.type);
 
-    if (me == cfg.root_comm) {
-      // Rendezvous: every non-root must be ready to receive.
-      for (int r = 0; r < n; ++r) {
-        if (r == cfg.root_comm) continue;
-        const int g = cfg.comm_global[static_cast<std::size_t>(r)];
-        while (!readies.Has(g)) {
-          const Packet p = co_await fifo_pop(*ctx.net_in);
-          if (p.hdr.op != OpType::kSync) {
-            throw ConfigError("BcastSupport: unexpected packet during "
-                              "rendezvous: " + p.DebugString());
-          }
-          readies.Record(p.hdr.src);
+    if (!tree.is_root()) {
+      co_await fifo_push(*ctx.net_out,
+                         MakeSync(ctx, tree.parent, OpType::kSync));
+    }
+    // Collect READYs from all children (any arrival order; early READYs for
+    // the next open are credited via the ledger).
+    for (const int child : tree.children) {
+      while (!readies.Has(child)) {
+        const Packet p = co_await fifo_pop(*ctx.net_in);
+        if (p.hdr.op != OpType::kSync) {
+          throw ConfigError("BcastSupport: unexpected packet during "
+                            "rendezvous: " + p.DebugString());
         }
-        readies.Consume(g);
+        readies.Record(p.hdr.src);
       }
-      // Stream the message, one packet's worth of elements at a time,
-      // replicated to each destination (linear scheme).
-      int sent = 0;
-      while (sent < cfg.count) {
-        const int chunk = std::min(epp, cfg.count - sent);
-        Packet data = MakeSync(ctx, /*dst placeholder*/ ctx.my_global,
-                               OpType::kData);
+      readies.Consume(child);
+    }
+
+    int done = 0;
+    while (done < cfg.count) {
+      Packet data = MakeSync(ctx, ctx.my_global, OpType::kData);
+      if (tree.is_root()) {
+        const int chunk = std::min(epp, cfg.count - done);
         for (int e = 0; e < chunk; ++e) {
           PackElement(data, e,
                       GetElement(co_await fifo_pop(*ctx.app_in),
@@ -144,149 +81,59 @@ Kernel BcastSupportKernel(SupportCtx ctx) {
                       esz);
         }
         data.hdr.count = static_cast<std::uint8_t>(chunk);
-        for (int r = 0; r < n; ++r) {
-          if (r == cfg.root_comm) continue;
-          data.hdr.dst = static_cast<std::uint16_t>(
-              cfg.comm_global[static_cast<std::size_t>(r)]);
-          co_await fifo_push(*ctx.net_out, data);
-        }
-        sent += chunk;
-      }
-    } else {
-      co_await fifo_push(
-          *ctx.net_out,
-          MakeSync(ctx, cfg.comm_global[static_cast<std::size_t>(cfg.root_comm)],
-                   OpType::kSync));
-      int received = 0;
-      while (received < cfg.count) {
-        const Packet p = co_await fifo_pop(*ctx.net_in);
-        if (p.hdr.op != OpType::kData) {
+      } else {
+        data = co_await fifo_pop(*ctx.net_in);
+        if (data.hdr.op != OpType::kData) {
           throw ConfigError("BcastSupport: unexpected packet: " +
-                            p.DebugString());
+                            data.DebugString());
         }
-        for (int e = 0; e < p.hdr.count; ++e) {
+        for (int e = 0; e < data.hdr.count; ++e) {
           co_await fifo_push(*ctx.app_out,
-                             CollToken(UnpackElement(p, e, esz)));
-          ++received;
+                             CollToken(UnpackElement(data, e, esz)));
         }
+        data.hdr.src = static_cast<std::uint16_t>(ctx.my_global);
       }
+      for (const int child : tree.children) {
+        data.hdr.dst = static_cast<std::uint16_t>(child);
+        co_await fifo_push(*ctx.net_out, data);
+      }
+      done += data.hdr.count;
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close
   }
 }
 
 // ---------------------------------------------------------------------------
-// Reduce (§4.4): credit-based flow control with C credits. The root folds
-// contributions (its own from the application, remote ones from the network)
-// into a C-deep accumulator window in arrival order — legal because the
-// supported operations are associative and commutative — and emits element
-// e as soon as all n ranks have contributed it. Credits for tile t are
-// granted once every element of tile t-1 has been emitted. Non-roots stream
-// one tile per credit.
+// Reduce (§4.4) over a CollTree: credit-based flow control with C credits
+// per tree edge. Which of two paths a node runs depends only on its place
+// in the tree:
+//  * a leaf (a non-root without children) streams one tile per credit:
+//    tile 0 is implicitly granted at open, tile t waits for its credit;
+//  * the root and inner nodes fold their own application stream with their
+//    children's partials, in arrival order, into a C-deep accumulator
+//    window — legal because the supported operations are associative and
+//    commutative. Element e is complete once every source contributed it;
+//    the root emits it to its application, an inner node forwards it to its
+//    parent (packed like a leaf's stream, within the parent's credits).
+//    Credits for tile t go to every child once every element of tile t-1
+//    has been emitted.
 // ---------------------------------------------------------------------------
-Kernel ReduceSupportKernel(SupportCtx ctx) {
+Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
   for (;;) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "ReduceSupport");
     NotifyCollectiveSyncPoint(ctx);  // channel open
-    const int n = static_cast<int>(cfg.comm_global.size());
-    const int me = MyCommRank(cfg, ctx.my_global, "ReduceSupport");
+    const CollTree tree(cfg, MyCommRank(cfg, ctx.my_global, "ReduceSupport"),
+                        algo);
     const int epp = static_cast<int>(ElementsPerPacket(cfg.type));
     const std::size_t esz = SizeOf(cfg.type);
     const int C = std::max(1, cfg.credits);
 
     if (cfg.count == 0) continue;
 
-    if (me == cfg.root_comm) {
-      std::vector<Element> accum(static_cast<std::size_t>(C),
-                                 ReduceIdentity(cfg.op, cfg.type));
-      std::vector<int> contrib(static_cast<std::size_t>(C), 0);
-      std::vector<int> remote_next(static_cast<std::size_t>(n), 0);
-      int local_next = 0;
-      int emitted = 0;
-      int granted_tiles = 1;  // tile 0 is implicitly granted at open
-      // Credits queued for sending, as destination global ranks.
-      std::vector<int> pending_credits;
-
-      const auto fold = [&](int element_index, const Element& value) {
-        const std::size_t slot =
-            static_cast<std::size_t>(element_index % C);
-        accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot], value);
-        ++contrib[slot];
-      };
-
-      while (emitted < cfg.count) {
-        const Cycle now = *ctx.now;
-        // (1) Emit the next result if complete.
-        if (contrib[static_cast<std::size_t>(emitted % C)] == n &&
-            ctx.app_out->CanPush(now)) {
-          const std::size_t slot = static_cast<std::size_t>(emitted % C);
-          ctx.app_out->Push(CollToken(accum[slot]), now);
-          accum[slot] = ReduceIdentity(cfg.op, cfg.type);
-          contrib[slot] = 0;
-          ++emitted;
-          // Tile boundary: grant the next tile if one remains.
-          if (emitted % C == 0 && granted_tiles * C < cfg.count) {
-            ++granted_tiles;
-            for (int r = 0; r < n; ++r) {
-              if (r == cfg.root_comm) continue;
-              pending_credits.push_back(
-                  cfg.comm_global[static_cast<std::size_t>(r)]);
-            }
-          }
-        }
-        // (2) Fold one local contribution if within the window.
-        if (local_next < cfg.count && local_next < emitted + C &&
-            ctx.app_in->CanPop(now)) {
-          fold(local_next,
-               GetElement(ctx.app_in->Pop(now), "ReduceSupport"));
-          ++local_next;
-        }
-        // (3) Fold one remote packet.
-        if (ctx.net_in->CanPop(now)) {
-          const Packet p = ctx.net_in->Pop(now);
-          if (p.hdr.op != OpType::kData) {
-            throw ConfigError("ReduceSupport(root): unexpected packet: " +
-                              p.DebugString());
-          }
-          int src_comm = -1;
-          for (int r = 0; r < n; ++r) {
-            if (cfg.comm_global[static_cast<std::size_t>(r)] == p.hdr.src) {
-              src_comm = r;
-              break;
-            }
-          }
-          if (src_comm < 0) {
-            throw ConfigError("ReduceSupport(root): contribution from a "
-                              "non-member rank");
-          }
-          for (int e = 0; e < p.hdr.count; ++e) {
-            const int idx = remote_next[static_cast<std::size_t>(src_comm)]++;
-            if (idx >= granted_tiles * C) {
-              throw ConfigError(
-                  "ReduceSupport(root): rank sent beyond its credit window");
-            }
-            fold(idx, UnpackElement(p, e, esz));
-          }
-        }
-        // (4) Send one pending credit.
-        if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
-          ctx.net_out->Push(
-              MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
-          pending_credits.pop_back();
-        }
-        // NextCycle keeps the default poll-every-cycle wake hint, so the
-        // event-driven engine polls this multi-FIFO loop each cycle exactly
-        // like the synchronous one — but only while a reduce is in flight;
-        // between collectives the kernel parks on the app_in pop above.
-        co_await NextCycle{};
-      }
-    } else {
-      const int root_global =
-          cfg.comm_global[static_cast<std::size_t>(cfg.root_comm)];
+    if (!tree.is_root() && tree.is_leaf()) {
       int sent = 0;
-      int tile = 0;
-      while (sent < cfg.count) {
+      for (int tile = 0; sent < cfg.count; ++tile) {
         if (tile > 0) {
           const Packet credit = co_await fifo_pop(*ctx.net_in);
           if (credit.hdr.op != OpType::kCredit) {
@@ -297,7 +144,7 @@ Kernel ReduceSupportKernel(SupportCtx ctx) {
         const int tile_end = std::min(cfg.count, (tile + 1) * C);
         while (sent < tile_end) {
           const int chunk = std::min(epp, tile_end - sent);
-          Packet data = MakeSync(ctx, root_global, OpType::kData);
+          Packet data = MakeSync(ctx, tree.parent, OpType::kData);
           for (int e = 0; e < chunk; ++e) {
             PackElement(data, e,
                         GetElement(co_await fifo_pop(*ctx.app_in),
@@ -308,8 +155,112 @@ Kernel ReduceSupportKernel(SupportCtx ctx) {
           co_await fifo_push(*ctx.net_out, data);
           sent += chunk;
         }
-        ++tile;
       }
+      NotifyCollectiveSyncPoint(ctx);  // channel close
+      continue;
+    }
+
+    const int sources = 1 + static_cast<int>(tree.children.size());
+    std::vector<Element> accum(static_cast<std::size_t>(C),
+                               ReduceIdentity(cfg.op, cfg.type));
+    std::vector<int> contrib(static_cast<std::size_t>(C), 0);
+    std::map<int, int> child_next;  // per child global rank: next element
+    for (const int child : tree.children) child_next[child] = 0;
+    int local_next = 0;
+    int emitted = 0;         // elements delivered to app (root) or parent
+    int granted_tiles = 1;   // tile 0 is implicitly granted at open
+    int parent_credits = 1;  // tiles the parent granted (inner nodes)
+    std::vector<int> pending_credits;  // child global ranks to credit
+    Packet out = MakeSync(ctx, tree.parent, OpType::kData);
+    int out_fill = 0;
+
+    while (emitted < cfg.count) {
+      const Cycle now = *ctx.now;
+      // (1) Emit the next completed element.
+      const std::size_t eslot = static_cast<std::size_t>(emitted % C);
+      if (contrib[eslot] == sources) {
+        bool advanced = false;
+        if (tree.is_root()) {
+          if (ctx.app_out->CanPush(now)) {
+            ctx.app_out->Push(CollToken(accum[eslot]), now);
+            advanced = true;
+          }
+        } else if (emitted < parent_credits * C) {
+          // Stage into the outgoing packet; flush on full packet, tile
+          // boundary or message end.
+          PackElement(out, out_fill, accum[eslot], esz);
+          ++out_fill;
+          const bool flush = out_fill == epp || (emitted + 1) % C == 0 ||
+                             emitted + 1 == cfg.count;
+          if (!flush) {
+            advanced = true;
+          } else if (ctx.net_out->CanPush(now)) {
+            out.hdr.count = static_cast<std::uint8_t>(out_fill);
+            ctx.net_out->Push(out, now);
+            out_fill = 0;
+            advanced = true;
+          } else {
+            --out_fill;  // retry next cycle
+          }
+        }
+        if (advanced) {
+          accum[eslot] = ReduceIdentity(cfg.op, cfg.type);
+          contrib[eslot] = 0;
+          ++emitted;
+          // Tile boundary: grant the next tile if one remains.
+          if (emitted % C == 0 && granted_tiles * C < cfg.count) {
+            ++granted_tiles;
+            pending_credits.insert(pending_credits.end(),
+                                   tree.children.begin(),
+                                   tree.children.end());
+          }
+        }
+      }
+      // (2) Fold one local element within the window.
+      if (local_next < cfg.count && local_next < emitted + C &&
+          ctx.app_in->CanPop(now)) {
+        const std::size_t slot = static_cast<std::size_t>(local_next % C);
+        accum[slot] =
+            ApplyReduceOp(cfg.op, cfg.type, accum[slot],
+                          GetElement(ctx.app_in->Pop(now), "ReduceSupport"));
+        ++contrib[slot];
+        ++local_next;
+      }
+      // (3) Fold one incoming packet (child partials or parent credit).
+      if (ctx.net_in->CanPop(now)) {
+        const Packet p = ctx.net_in->Pop(now);
+        const auto it = child_next.find(p.hdr.src);
+        if (p.hdr.op == OpType::kCredit && !tree.is_root()) {
+          ++parent_credits;
+        } else if (p.hdr.op == OpType::kData && it != child_next.end()) {
+          for (int e = 0; e < p.hdr.count; ++e) {
+            const int idx = it->second++;
+            if (idx >= granted_tiles * C) {
+              throw ConfigError(
+                  "ReduceSupport: rank " + std::to_string(p.hdr.src) +
+                  " sent beyond its credit window");
+            }
+            const std::size_t slot = static_cast<std::size_t>(idx % C);
+            accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot],
+                                        UnpackElement(p, e, esz));
+            ++contrib[slot];
+          }
+        } else {
+          throw ConfigError("ReduceSupport: unexpected packet: " +
+                            p.DebugString());
+        }
+      }
+      // (4) Send one pending credit to a child.
+      if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
+        ctx.net_out->Push(
+            MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
+        pending_credits.pop_back();
+      }
+      // NextCycle keeps the default poll-every-cycle wake hint, so the
+      // event-driven engine polls this multi-FIFO loop each cycle exactly
+      // like the synchronous one — but only while a reduce is in flight;
+      // between collectives the kernel parks on the app_in pop above.
+      co_await NextCycle{};
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close
   }
@@ -456,6 +407,30 @@ Kernel GatherSupportKernel(SupportCtx ctx) {
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close
   }
+}
+
+Kernel MakeSupportKernel(CollKind kind, CollAlgo algo, SupportCtx ctx) {
+  if (algo == CollAlgo::kInnet) {
+    if (kind != CollKind::kReduce) {
+      throw ConfigError(
+          "the in-network support kernel exists only for Reduce");
+    }
+    return InnetReduceSupportKernel(ctx);
+  }
+  switch (kind) {
+    case CollKind::kBcast: return BcastSupportKernel(ctx, algo);
+    case CollKind::kReduce: return ReduceSupportKernel(ctx, algo);
+    case CollKind::kAllreduce: return AllreduceSupportKernel(ctx, algo);
+    case CollKind::kScatter:
+    case CollKind::kGather:
+      if (algo != CollAlgo::kLinear) {
+        throw ConfigError("tree-based support kernels exist only for Bcast, "
+                          "Reduce and Allreduce");
+      }
+      return kind == CollKind::kScatter ? ScatterSupportKernel(ctx)
+                                        : GatherSupportKernel(ctx);
+  }
+  throw ConfigError("unknown collective kind");
 }
 
 }  // namespace smi::core

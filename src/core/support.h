@@ -9,15 +9,17 @@
 /// implements the coordination protocol of its collective:
 ///
 ///  * Bcast / Scatter (one-to-all): every non-root sends a READY sync packet
-///    to the root; the root streams data only after the rendezvous, which
-///    prevents mixing of data from subsequently opened transient channels on
-///    the same port.
+///    to its parent (the root, unless Bcast runs over a binomial tree); data
+///    flows to a rank only after its READY, which prevents mixing of data
+///    from subsequently opened transient channels on the same port.
 ///  * Gather (all-to-one): the root grants senders in communicator rank
 ///    order, so data arrives in an order the root can stream out without
 ///    reordering buffers.
-///  * Reduce (all-to-one): credit-based flow control with C credits; the
-///    root folds contributions in arrival order into a C-deep accumulator
-///    window and emits each result as soon as every rank has contributed it.
+///  * Reduce (all-to-one): credit-based flow control with C credits per tree
+///    edge; the root folds contributions in arrival order into a C-deep
+///    accumulator window and emits each result as soon as every rank has
+///    contributed it.
+///  * Allreduce: a Reduce-up / Bcast-down composition on one port.
 ///
 /// Every kernel serves an unbounded sequence of channel opens (transient
 /// channels), each announced by a config token from the application. Both
@@ -55,31 +57,11 @@ struct SupportCtx {
 /// no hybrid-fidelity links exist.
 void NotifyCollectiveSyncPoint(const SupportCtx& ctx);
 
-/// The four support kernels (linear schemes of the reference
-/// implementation). Each runs forever (registered as a daemon).
-sim::Kernel BcastSupportKernel(SupportCtx ctx);
-sim::Kernel ReduceSupportKernel(SupportCtx ctx);
-sim::Kernel ScatterSupportKernel(SupportCtx ctx);
-sim::Kernel GatherSupportKernel(SupportCtx ctx);
-
-/// Binomial-tree variants of Bcast and Reduce (the §4.4 extension). Data
-/// flows along a binomial tree rooted at the runtime-selected root:
-/// logarithmic fan-out at every node instead of the root serializing to
-/// all n-1 peers.
-sim::Kernel TreeBcastSupportKernel(SupportCtx ctx);
-sim::Kernel TreeReduceSupportKernel(SupportCtx ctx);
-
-/// Allreduce (all-to-all reduction): a Reduce-up / Bcast-down composition
-/// sharing one collective port. Contributions flow toward relative rank 0
-/// under the Reduce credit protocol; completed results flow back down the
-/// same tree as data packets, and every rank's application receives all
-/// `count` reduced elements. `algo` selects the tree shape: kLinear is a
-/// flat tree (rank 0 parents everyone — the linear Reduce/Bcast pair),
-/// kTree the binomial tree of coll_tree.h.
-sim::Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo);
-
-/// Dispatch by kind/algo (used by the fabric builder). Scatter and Gather
-/// only exist in the linear variant; Allreduce exists in both.
+/// The support kernel of a (kind, algo) pair; runs forever (registered as a
+/// daemon by the fabric builder). Bcast, Reduce and Allreduce run over the
+/// CollTree of `algo` (coll_tree.h: flat for kLinear, binomial for kTree);
+/// Scatter and Gather exist only for kLinear, kInnet only for Reduce
+/// (innet.h).
 sim::Kernel MakeSupportKernel(CollKind kind, CollAlgo algo, SupportCtx ctx);
 
 }  // namespace smi::core

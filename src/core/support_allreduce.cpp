@@ -2,9 +2,8 @@
 #include <map>
 #include <vector>
 
-#include "common/error.h"
 #include "core/coll_tree.h"
-#include "core/support.h"
+#include "core/support_internal.h"
 
 /// \file support_allreduce.cpp
 /// Allreduce support kernel: the reduce-then-broadcast composition on a
@@ -12,10 +11,10 @@
 /// kernels as the path to further collectives). One kernel instance carries
 /// both phases:
 ///
-///  * Up phase — identical protocol to (Tree)Reduce: every node folds its
-///    application stream with its children's partials in a C-deep window
-///    and forwards completed elements to its parent, tile by tile under
-///    per-edge credit flow control. Unlike Reduce, *all* credits are
+///  * Up phase — the protocol of Reduce's root and inner nodes: every node
+///    folds its application stream with its children's partials in a C-deep
+///    window and forwards completed elements to its parent, tile by tile
+///    under per-edge credit flow control. Unlike Reduce, *all* credits are
 ///    explicit (including tile 0): a parent grants tile 0 when it enters
 ///    the open, so a fast child can never push data from open k+1 into a
 ///    parent still folding open k.
@@ -33,12 +32,12 @@
 /// role the READY ledger plays for Bcast/Scatter) and consumed when the
 /// next open needs them.
 ///
-/// The tree shape is a build-time parameter: kLinear is a flat tree (rank 0
-/// parents all n-1 peers — the linear Reduce/Bcast pair), kTree the
-/// binomial tree of coll_tree.h with logarithmic fan-in/out at every node.
+/// The tree shape is a build-time parameter, the CollTree of coll_tree.h:
+/// kLinear is the flat tree (rank 0 parents all n-1 peers — the linear
+/// Reduce/Bcast pair), kTree the binomial tree with logarithmic fan-in/out
+/// at every node.
 
 namespace smi::core {
-namespace {
 
 using net::OpType;
 using net::Packet;
@@ -46,57 +45,6 @@ using sim::Cycle;
 using sim::Kernel;
 using sim::NextCycle;
 using sim::fifo_pop;
-
-CollConfig GetConfig(CollToken&& tok, const char* kernel) {
-  if (!std::holds_alternative<CollConfig>(tok)) {
-    throw ConfigError(std::string(kernel) +
-                      ": expected a channel-open config token");
-  }
-  return std::get<CollConfig>(std::move(tok));
-}
-
-Element GetElement(CollToken&& tok, const char* kernel) {
-  if (!std::holds_alternative<Element>(tok)) {
-    throw ConfigError(std::string(kernel) +
-                      ": expected a data element, got a config token");
-  }
-  return std::get<Element>(tok);
-}
-
-int MyCommRank(const CollConfig& cfg, int my_global, const char* kernel) {
-  for (std::size_t i = 0; i < cfg.comm_global.size(); ++i) {
-    if (cfg.comm_global[i] == my_global) return static_cast<int>(i);
-  }
-  throw ConfigError(std::string(kernel) + ": rank not in communicator");
-}
-
-Packet MakeSync(const SupportCtx& ctx, int dst_global, OpType op) {
-  Packet p;
-  p.hdr.src = static_cast<std::uint16_t>(ctx.my_global);
-  p.hdr.dst = static_cast<std::uint16_t>(dst_global);
-  p.hdr.port = static_cast<std::uint8_t>(ctx.port);
-  p.hdr.op = op;
-  return p;
-}
-
-void PackElement(Packet& pkt, int index, const Element& e, std::size_t size) {
-  pkt.StoreBytes(static_cast<std::size_t>(index) * size, e.bytes.data(), size);
-}
-
-Element UnpackElement(const Packet& pkt, int index, std::size_t size) {
-  Element e;
-  pkt.LoadBytes(static_cast<std::size_t>(index) * size, e.bytes.data(), size);
-  return e;
-}
-
-/// Root-relative rank -> global rank.
-int RelToGlobal(const CollConfig& cfg, int rel) {
-  const int n = static_cast<int>(cfg.comm_global.size());
-  const int comm_rank = (rel + cfg.root_comm) % n;
-  return cfg.comm_global[static_cast<std::size_t>(comm_rank)];
-}
-
-}  // namespace
 
 Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
   // Credits banked across opens, keyed by the granting (parent) global
@@ -108,29 +56,11 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "AllreduceSupport");
     NotifyCollectiveSyncPoint(ctx);  // channel open
-    const int n = static_cast<int>(cfg.comm_global.size());
-    const int me = MyCommRank(cfg, ctx.my_global, "AllreduceSupport");
-    const int rel = (me - cfg.root_comm + n) % n;
-    std::vector<int> children_rel;
-    int parent_rel = -1;
-    if (algo == CollAlgo::kTree) {
-      children_rel = BinomialChildren(rel, n);
-      parent_rel = rel == 0 ? -1 : BinomialParent(rel);
-    } else {
-      // Flat tree: relative rank 0 parents every other rank.
-      if (rel == 0) {
-        for (int r = 1; r < n; ++r) children_rel.push_back(r);
-      } else {
-        parent_rel = 0;
-      }
-    }
-    const bool is_root = rel == 0;
-    const int parent_global =
-        parent_rel < 0 ? -1 : RelToGlobal(cfg, parent_rel);
-    std::vector<int> child_globals;
-    for (const int child : children_rel) {
-      child_globals.push_back(RelToGlobal(cfg, child));
-    }
+    const CollTree tree(
+        cfg, MyCommRank(cfg, ctx.my_global, "AllreduceSupport"), algo);
+    const bool is_root = tree.is_root();
+    const int parent_global = tree.parent;
+    const std::vector<int>& child_globals = tree.children;
     const std::size_t esz = SizeOf(cfg.type);
     const int C = std::max(1, cfg.credits);
     const int sources = 1 + static_cast<int>(child_globals.size());

@@ -1,0 +1,121 @@
+#ifndef SMI_CORE_SUPPORT_INTERNAL_H
+#define SMI_CORE_SUPPORT_INTERNAL_H
+
+/// \file support_internal.h
+/// Internal to src/core: the per-collective support kernels that
+/// MakeSupportKernel dispatches to, and the helpers they share (token
+/// unpacking, rank lookup, sync packets, element packing, the READY ledger).
+
+#include <map>
+#include <string>
+#include <utility>
+
+#include "common/error.h"
+#include "core/support.h"
+
+namespace smi::core {
+
+/// Bcast and Reduce over the CollTree of `algo` (coll_tree.h): kLinear is
+/// the flat tree of the reference implementation, kTree the binomial tree.
+sim::Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo);
+sim::Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo);
+/// Scatter and Gather exist only in the linear scheme.
+sim::Kernel ScatterSupportKernel(SupportCtx ctx);
+sim::Kernel GatherSupportKernel(SupportCtx ctx);
+
+/// Allreduce (all-to-all reduction): a Reduce-up / Bcast-down composition
+/// sharing one collective port. Contributions flow toward relative rank 0
+/// under the Reduce credit protocol; completed results flow back down the
+/// same CollTree as data packets, and every rank's application receives all
+/// `count` reduced elements.
+sim::Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo);
+
+/// The in-network Reduce support kernel (CollAlgo::kInnet; see innet.h).
+/// Requires the matching handler tables to be installed (Cluster does this
+/// when a ProgramSpec carries an innet Reduce op); without them the protocol
+/// is still correct — packets simply never merge and credits never fan out
+/// past the root — but the root then waits forever for credits it granted
+/// only to itself, so the tables are not optional in practice.
+sim::Kernel InnetReduceSupportKernel(SupportCtx ctx);
+
+inline CollConfig GetConfig(CollToken&& tok, const char* kernel) {
+  if (!std::holds_alternative<CollConfig>(tok)) {
+    throw ConfigError(std::string(kernel) +
+                      ": expected a channel-open config token, got a data "
+                      "element (did the application open the channel?)");
+  }
+  return std::get<CollConfig>(std::move(tok));
+}
+
+inline Element GetElement(CollToken&& tok, const char* kernel) {
+  if (!std::holds_alternative<Element>(tok)) {
+    throw ConfigError(std::string(kernel) +
+                      ": expected a data element, got a config token (message "
+                      "shorter than the declared count?)");
+  }
+  return std::get<Element>(tok);
+}
+
+inline int MyCommRank(const CollConfig& cfg, int my_global,
+                      const char* kernel) {
+  for (std::size_t i = 0; i < cfg.comm_global.size(); ++i) {
+    if (cfg.comm_global[i] == my_global) return static_cast<int>(i);
+  }
+  throw ConfigError(std::string(kernel) + ": rank " +
+                    std::to_string(my_global) +
+                    " is not a member of the collective's communicator");
+}
+
+inline net::Packet MakeSync(const SupportCtx& ctx, int dst_global,
+                            net::OpType op) {
+  net::Packet p;
+  p.hdr.src = static_cast<std::uint16_t>(ctx.my_global);
+  p.hdr.dst = static_cast<std::uint16_t>(dst_global);
+  p.hdr.port = static_cast<std::uint8_t>(ctx.port);
+  p.hdr.op = op;
+  p.hdr.count = 0;
+  return p;
+}
+
+/// Element `index` of a packet's payload, starting `offset` bytes in (the
+/// in-network Reduce puts an envelope ahead of the elements).
+inline void PackElement(net::Packet& pkt, int index, const Element& e,
+                        std::size_t size, std::size_t offset = 0) {
+  pkt.StoreBytes(offset + static_cast<std::size_t>(index) * size,
+                 e.bytes.data(), size);
+}
+
+inline Element UnpackElement(const net::Packet& pkt, int index,
+                             std::size_t size, std::size_t offset = 0) {
+  Element e;
+  pkt.LoadBytes(offset + static_cast<std::size_t>(index) * size,
+                e.bytes.data(), size);
+  return e;
+}
+
+/// Root-relative rank -> global rank.
+inline int RelToGlobal(const CollConfig& cfg, int rel) {
+  const int n = static_cast<int>(cfg.comm_global.size());
+  const int comm_rank = (rel + cfg.root_comm) % n;
+  return cfg.comm_global[static_cast<std::size_t>(comm_rank)];
+}
+
+/// Rendezvous bookkeeping: counts READY syncs per source rank, persisting
+/// across successive channel opens on the same port so that an early READY
+/// for the *next* open (from a fast rank) is credited correctly.
+class ReadyLedger {
+ public:
+  void Record(int src_global) { ++counts_[src_global]; }
+  bool Has(int src_global) const {
+    const auto it = counts_.find(src_global);
+    return it != counts_.end() && it->second > 0;
+  }
+  void Consume(int src_global) { --counts_[src_global]; }
+
+ private:
+  std::map<int, int> counts_;
+};
+
+}  // namespace smi::core
+
+#endif  // SMI_CORE_SUPPORT_INTERNAL_H

@@ -15,6 +15,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/innet.h"
 #include "core/smi.h"
 
 namespace smi::core {
@@ -241,6 +242,31 @@ TEST(InnetReduce, RootMismatchAtOpenThrows) {
     cluster.AddKernel(r, app(cluster.context(r)), "app");
   }
   EXPECT_THROW(cluster.Run(), ConfigError);
+}
+
+TEST(InnetReduce, HandlerPlanSizedOtherThanTablesThrows) {
+  // One funnel in-degree and one fan child list per rank, nothing less.
+  const std::vector<int> comm{0, 1, 2, 3};
+  const std::vector<int> funnel{0, 1, 1, 1};
+  const std::vector<std::vector<int>> fan{{1, 2, 3}, {}, {}, {}};
+  const auto append = [&](const std::vector<int>& f,
+                          const std::vector<std::vector<int>>& c) {
+    std::vector<transport::HandlerTable> tables(4);
+    AppendInnetHandlers(tables, 0, ReduceOp::kAdd, DataType::kInt, 0, comm,
+                        16, f, c);
+    return tables;
+  };
+  const std::vector<transport::HandlerTable> tables = append(funnel, fan);
+  EXPECT_NE(tables[0].Find(transport::HandlerClass::kFanOut, 0,
+                           net::OpType::kCredit),
+            nullptr);
+  EXPECT_EQ(tables[1].Find(transport::HandlerClass::kFanOut, 0,
+                           net::OpType::kCredit),
+            nullptr);
+  EXPECT_THROW(append({}, fan), ConfigError);
+  EXPECT_THROW(append(funnel, {}), ConfigError);
+  EXPECT_THROW(append({0, 1, 1}, fan), ConfigError);
+  EXPECT_THROW(append(funnel, {{1, 2, 3}, {}, {}, {}, {}}), ConfigError);
 }
 
 TEST(InnetReduce, ConfigureInnetHandlersRetargetsRoot) {

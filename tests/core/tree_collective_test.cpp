@@ -89,6 +89,46 @@ TEST(BinomialTree, DegenerateShapes) {
   EXPECT_THROW(BinomialChildren(4, 4), ConfigError);
 }
 
+CollConfig ConfigOver(std::vector<int> comm_global, int root_comm) {
+  CollConfig cfg;
+  cfg.root_comm = root_comm;
+  cfg.comm_global = std::move(comm_global);
+  return cfg;
+}
+
+TEST(CollTree, FlatTreeServesCommOrderSkippingTheRoot) {
+  // Communicator {10, 11, ..., 15} rooted at comm rank 3 (global 13).
+  const CollConfig cfg = ConfigOver({10, 11, 12, 13, 14, 15}, 3);
+  const CollTree root(cfg, 3, CollAlgo::kLinear);
+  EXPECT_TRUE(root.is_root());
+  EXPECT_EQ(root.children, (std::vector<int>{10, 11, 12, 14, 15}));
+  for (const int me : {0, 1, 2, 4, 5}) {
+    const CollTree leaf(cfg, me, CollAlgo::kLinear);
+    EXPECT_EQ(leaf.parent, 13);
+    EXPECT_TRUE(leaf.is_leaf());
+  }
+}
+
+TEST(CollTree, BinomialTreeIsRootRelative) {
+  // 8 ranks rooted at comm rank 5: relative rank r is comm rank (r+5)%8,
+  // global 20 + comm rank.
+  const CollConfig cfg = ConfigOver({20, 21, 22, 23, 24, 25, 26, 27}, 5);
+  const CollTree root(cfg, 5, CollAlgo::kTree);
+  EXPECT_TRUE(root.is_root());
+  EXPECT_EQ(root.children, (std::vector<int>{26, 27, 21}));  // rel 1, 2, 4
+  const CollTree rel1(cfg, 6, CollAlgo::kTree);
+  EXPECT_EQ(rel1.parent, 25);
+  EXPECT_EQ(rel1.children, (std::vector<int>{20, 22}));  // rel 3, 5
+  const CollTree rel7(cfg, 4, CollAlgo::kTree);
+  EXPECT_EQ(rel7.parent, 20);  // rel 3
+  EXPECT_TRUE(rel7.is_leaf());
+}
+
+TEST(CollTree, InnetHasNoSupportKernelTree) {
+  EXPECT_THROW(CollTree(ConfigOver({0, 1}, 0), 0, CollAlgo::kInnet),
+               ConfigError);
+}
+
 // ---------------------------------------------------------------------------
 // Tree Bcast / Reduce correctness: identical call sequences as the linear
 // variants; only the OpSpec algo changes.
