@@ -125,17 +125,10 @@ void AddFidelityOptions(CliParser& cli) {
                 "link simulation fidelity: \"cycle\" (cycle-accurate), "
                 "\"flow\" (analytic flow model), or \"auto\" (flow with "
                 "automatic drop-down to cycle accuracy; see sim/fidelity.h)");
-  cli.AddString("fidelity-calibration", "",
-                "flow-model calibration constants, a JSON file like "
-                "data/fidelity_calibration.json (empty = identity constants)");
 }
 
 bool ConfigureFidelity(const CliParser& cli, core::ClusterConfig& config) {
   config.engine.fidelity.mode = sim::ParseFidelityMode(cli.GetString("fidelity"));
-  const std::string calib = cli.GetString("fidelity-calibration");
-  if (!calib.empty()) {
-    config.engine.fidelity.calibration = sim::FidelityCalibration::FromFile(calib);
-  }
   return config.engine.fidelity.enabled();
 }
 

@@ -57,10 +57,8 @@ bool ConfigureFaults(const CliParser& cli, core::ClusterConfig& config);
 /// (no-op when `faults` is null, i.e. no plan was enabled).
 void MaybeWriteFaults(PerfReport& report, const json::Value& faults);
 
-/// Register the shared link-fidelity options: `--fidelity {cycle,flow,auto}`
-/// (see sim/fidelity.h; default "cycle" keeps the cycle-accurate links) and
-/// `--fidelity-calibration <file>` (flow-model calibration JSON; identity
-/// constants when empty).
+/// Register the shared link-fidelity option `--fidelity {cycle,flow,auto}`
+/// (see sim/fidelity.h; default "cycle" keeps the cycle-accurate links).
 void AddFidelityOptions(CliParser& cli);
 
 /// Parse the fidelity options into `config.engine.fidelity`. The mode token

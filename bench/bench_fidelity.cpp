@@ -1,6 +1,6 @@
 /// \file bench_fidelity.cpp
 /// Hybrid-fidelity link sweep: wall-clock speedup and cycle divergence of
-/// the flow-level fast path (sim/fidelity.h, sim/flow_link.h) against the
+/// the flow-level fast path (sim/fidelity.h, sim/link.h) against the
 /// cycle-accurate baseline.
 ///
 /// The workload is a relay chain of `ranks` serial links saturated by a
@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "sim/flow_link.h"
+#include "sim/link.h"
 
 namespace {
 
@@ -60,9 +60,9 @@ Outcome RunChain(int hops, int payloads, std::size_t depth, sim::Cycle latency,
         &engine.MakeFifo<std::uint32_t>("f" + std::to_string(i), depth));
   }
   for (int i = 0; i < hops; ++i) {
-    engine.MakeComponent<sim::FlowLink<std::uint32_t>>(
+    engine.MakeComponent<sim::Link<std::uint32_t>>(
         engine, "link" + std::to_string(i), *fifos[static_cast<std::size_t>(i)],
-        *fifos[static_cast<std::size_t>(i) + 1], latency, policy);
+        *fifos[static_cast<std::size_t>(i) + 1], latency);
   }
 
   Outcome out;
@@ -106,9 +106,6 @@ int main(int argc, char** argv) {
                 "from the cycle-accurate cycles by more than this percentage "
                 "(the quarter-size rows expose the stream-tail boundary "
                 "error, which shrinks as ranks*interval/payloads)");
-  cli.AddString("fidelity-calibration", "",
-                "flow-model calibration constants, a JSON file like "
-                "data/fidelity_calibration.json (empty = identity constants)");
   AddJsonOption(cli);
   if (!cli.Parse(argc, argv)) return 2;
 
@@ -121,10 +118,6 @@ int main(int argc, char** argv) {
 
   sim::FidelityPolicy base;
   base.flow_interval = static_cast<sim::Cycle>(cli.GetInt("interval"));
-  const std::string calib = cli.GetString("fidelity-calibration");
-  if (!calib.empty()) {
-    base.calibration = sim::FidelityCalibration::FromFile(calib);
-  }
 
   PerfReport report("fidelity");
   report.SetParameter("ranks", max_ranks);

@@ -54,7 +54,7 @@ struct SupportCtx {
 /// Collective synchronization point: demotes every flow-mode link to cycle
 /// accuracy (sim::Engine::FidelitySyncPoint) so the open/close rendezvous
 /// and credit traffic is timed exactly. No-op when `ctx.engine` is null or
-/// no hybrid-fidelity links exist.
+/// no flow-capable links exist.
 void NotifyCollectiveSyncPoint(const SupportCtx& ctx);
 
 /// The support kernel of a (kind, algo) pair; runs forever (registered as a

@@ -236,11 +236,11 @@ struct CkCounters {
 };
 
 /// Per-link fidelity-mode counters (see sim/fidelity.h). Owned by the
-/// FlowLink itself — they are meaningful without the recorder — and exposed
-/// through LinkCounters::fidelity when telemetry is enabled. Not journaled:
-/// fidelity transitions never happen inside parallel epochs (the engine pins
-/// every FlowLink to cycle accuracy for the whole parallel run and the
-/// counters are frozen while pinned).
+/// flow-capable sim::Link itself — they are meaningful without the recorder
+/// — and exposed through LinkCounters::fidelity when telemetry is enabled.
+/// Not journaled: fidelity transitions never happen inside parallel epochs
+/// (the engine pins every flow-capable link to cycle accuracy for the whole
+/// parallel run and the counters are frozen while pinned).
 struct FidelityCounters {
   std::uint64_t stepped_cycles = 0;  ///< cycle-accurate Step invocations
   std::uint64_t modeled_cycles = 0;  ///< cycles covered by modeled wakes
@@ -285,8 +285,9 @@ struct LinkCounters {
   std::uint64_t seq_discards = 0;        ///< duplicate/out-of-order frames (RX)
   Journal rx_journal;
   Journal tx_journal;
-  /// Fidelity-mode counters of a FlowLink (null for cycle-only links); set
-  /// by the link at attach time, exported under "fidelity" in CountersJson.
+  /// Fidelity-mode counters of a flow-capable link (null for cycle-only
+  /// links); set by the link at attach time, exported under "fidelity" in
+  /// CountersJson.
   const FidelityCounters* fidelity = nullptr;
   bool trace = false;
   std::vector<Cycle> deliveries;  ///< delivery cycles (packet-hop timeline)

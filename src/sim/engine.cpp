@@ -167,7 +167,7 @@ void Engine::RegisterFlowLink(FlowLinkControl* link) {
 
 void Engine::FidelitySyncPoint() {
   // Mid-parallel-run links are already pinned to cycle accuracy; outside a
-  // run there is nothing to demote unless FlowLinks exist.
+  // run there is nothing to demote unless flow-capable links exist.
   if (parallel_active_ || flow_links_.empty()) return;
   for (FlowLinkControl* link : flow_links_) link->DemoteForSync(now_);
 }
@@ -713,7 +713,7 @@ bool Engine::RunFor(Cycle cycles) {
 
 void Engine::PrepareParallelRun(unsigned workers) {
   // The split-link exactness argument (file comment) only covers
-  // cycle-stepped links: pin every hybrid-fidelity link to cycle accuracy
+  // cycle-stepped links: pin every flow-capable link to cycle accuracy
   // for the whole run. PreparePartition schedules all components at the
   // start cycle, so demoted links need no extra wake.
   parallel_active_ = true;

@@ -163,10 +163,11 @@ struct EngineConfig {
   /// intervals and per-link packet hops); implies counter collection.
   bool collect_trace = false;
   /// Link-fidelity policy (see sim/fidelity.h). With mode kCycle (default)
-  /// the fabric builds the classic cycle-accurate links; kFlow/kAuto make
-  /// it build FlowLinks that switch to the calibrated flow-level model in
-  /// steady state. The parallel scheduler pins every FlowLink to cycle
-  /// accuracy for the duration of each Run, so results stay bit-identical.
+  /// every link built through the engine is cycle-only; kFlow/kAuto make
+  /// those links flow-capable: they switch to the flow-level model in
+  /// steady state. The parallel scheduler pins every flow-capable link to
+  /// cycle accuracy for the duration of each Run, so results stay
+  /// bit-identical.
   FidelityPolicy fidelity;
 };
 
@@ -280,21 +281,21 @@ class Engine {
   /// scheduler steps everything anyway.
   void WakeComponentAt(Component& component, Cycle cycle);
 
-  /// Register a hybrid-fidelity link (called from the FlowLink constructor).
+  /// Register a flow-capable link (called from the sim::Link constructor).
   /// Registered links are demoted at collective sync points and pinned to
   /// cycle accuracy across parallel runs.
   void RegisterFlowLink(FlowLinkControl* link);
   /// Collective synchronization point (channel open/close): demote every
   /// flow-mode link to cycle accuracy so the rendezvous traffic is timed
   /// exactly. No-op while a parallel run is in flight (links are already
-  /// pinned) and when no FlowLinks exist.
+  /// pinned) and when no flow-capable links exist.
   void FidelitySyncPoint();
   /// Suppress (or restore) FIFO-commit wakes for `component`. Used by
   /// flow-mode links, which replace FIFO-driven stepping with timed modeled
   /// wakes; the component must keep NextSelfWake finite while suspended.
   void SetComponentFifoWakeSuspended(const Component& component,
                                      bool suspended);
-  /// Registered hybrid-fidelity links, in registration order (for reports).
+  /// Registered flow-capable links, in registration order (for reports).
   const std::vector<FlowLinkControl*>& flow_links() const {
     return flow_links_;
   }

@@ -1,12 +1,23 @@
 #include "sim/fidelity.h"
 
-#include <cmath>
-
 #include "common/error.h"
+#include "common/logging.h"
 
 namespace smi::sim {
 
 FlowLinkControl::~FlowLinkControl() = default;
+
+namespace detail {
+
+void WarnFidelityThrash(const std::string& link, std::uint64_t transitions,
+                        Cycle now) {
+  SMI_LOG_WARN << "fidelity thrash on " << link << ": " << transitions
+               << " mode transitions within " << kFidelityThrashWindow
+               << " cycles (at cycle " << now
+               << "); consider a larger steady window or cycle mode";
+}
+
+}  // namespace detail
 
 FidelityMode ParseFidelityMode(const std::string& text) {
   if (text == "cycle") return FidelityMode::kCycle;
@@ -28,82 +39,15 @@ const char* FidelityModeName(FidelityMode mode) {
   return "cycle";
 }
 
-namespace {
-
-double RequireFiniteNumber(const json::Value& o, const char* key) {
-  if (!o.contains(key)) {
-    throw ConfigError(std::string("fidelity calibration missing \"") + key +
-                      "\"");
-  }
-  const json::Value& v = o.at(key);
-  if (!v.is_number()) {
-    throw ConfigError(std::string("fidelity calibration \"") + key +
-                      "\" must be a finite number");
-  }
-  return v.as_double();
-}
-
-}  // namespace
-
-FidelityCalibration FidelityCalibration::FromJson(const json::Value& v) {
-  if (!v.is_object()) {
-    throw ConfigError("fidelity calibration must be a JSON object");
-  }
-  FidelityCalibration c;
-  c.cycles_per_payload = RequireFiniteNumber(v, "cycles_per_payload");
-  c.latency_scale = RequireFiniteNumber(v, "latency_scale");
-  const double offset = RequireFiniteNumber(v, "latency_offset");
-  if (offset != std::floor(offset)) {
-    throw ConfigError("fidelity calibration \"latency_offset\" must be an "
-                      "integer");
-  }
-  c.latency_offset = static_cast<std::int64_t>(offset);
-  if (c.cycles_per_payload <= 0.0) {
-    throw ConfigError("fidelity calibration \"cycles_per_payload\" must be "
-                      "> 0");
-  }
-  if (c.latency_scale <= 0.0) {
-    throw ConfigError("fidelity calibration \"latency_scale\" must be > 0");
-  }
-  for (const auto& [key, value] : v.as_object()) {
-    (void)value;
-    if (key != "cycles_per_payload" && key != "latency_scale" &&
-        key != "latency_offset") {
-      throw ConfigError("fidelity calibration has unknown key \"" + key +
-                        "\"");
-    }
-  }
-  return c;
-}
-
-FidelityCalibration FidelityCalibration::FromFile(const std::string& path) {
-  const json::Value doc = json::ParseFile(path);
-  if (!doc.is_object() || !doc.contains("calibration")) {
-    throw ConfigError("fidelity calibration file " + path +
-                      " must hold an object with a \"calibration\" key");
-  }
-  return FromJson(doc.at("calibration"));
-}
-
-json::Value FidelityCalibration::ToJson() const {
-  json::Object o;
-  o["cycles_per_payload"] = cycles_per_payload;
-  o["latency_scale"] = latency_scale;
-  o["latency_offset"] = latency_offset;
-  return o;
-}
-
 FlowBatch PlanFlowTransfer(Cycle last_wake, Cycle now,
                            std::uint64_t tx_available,
-                           std::uint64_t window_free,
-                           const FidelityCalibration& calib) {
+                           std::uint64_t window_free) {
   FlowBatch batch;
   if (now <= last_wake) return batch;
   const Cycle elapsed = now - last_wake;
-  // Bandwidth bound: the cycle-accurate link moves one payload every
-  // cycles_per_payload cycles, so `elapsed` cycles admit at most this many.
-  const auto budget = static_cast<std::uint64_t>(
-      static_cast<double>(elapsed) / calib.cycles_per_payload);
+  // Bandwidth bound: the cycle-accurate link moves at most one payload per
+  // cycle, so `elapsed` cycles admit at most this many.
+  const std::uint64_t budget = elapsed;
   batch.interval_budget = budget;
   batch.accepts = budget;
   if (tx_available < batch.accepts) batch.accepts = tx_available;
@@ -117,8 +61,7 @@ FlowBatch PlanFlowTransfer(Cycle last_wake, Cycle now,
   // latest-consistent one here would stamp every hop's final batch up to an
   // interval late and compound per hop down the chain.
   if (batch.accepts == tx_available && batch.accepts < budget &&
-      batch.accepts < window_free &&
-      batch.accepts <= static_cast<std::uint64_t>(elapsed)) {
+      batch.accepts < window_free) {
     batch.first_pop = last_wake + 1;
     return batch;
   }
@@ -128,19 +71,6 @@ FlowBatch PlanFlowTransfer(Cycle last_wake, Cycle now,
   // by at most `elapsed`, never early.
   batch.first_pop = now - (batch.accepts - 1);
   return batch;
-}
-
-Cycle EstimateHopLatency(Cycle link_latency,
-                         const FidelityCalibration& calib) {
-  const double scaled =
-      std::llround(static_cast<double>(link_latency) * calib.latency_scale) +
-      static_cast<double>(calib.latency_offset);
-  if (scaled <= 0.0) return 0;
-  return static_cast<Cycle>(scaled);
-}
-
-double EstimateSteadyBandwidth(const FidelityCalibration& calib) {
-  return 1.0 / calib.cycles_per_payload;
 }
 
 json::Value FidelityReportJson(

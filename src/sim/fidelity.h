@@ -8,22 +8,18 @@
 /// every cycle while traffic flows. In uncongested steady state that work is
 /// pure overhead: the link accepts exactly one payload per cycle and
 /// delivers it `latency` cycles later, a behaviour that a closed-form
-/// expression reproduces exactly. `FlowLink` (flow_link.h) exploits this: it
-/// starts cycle-accurate and, once a link has been provably undisturbed for
-/// a configurable window, replaces per-cycle stepping with one *modeled
-/// wake* per `flow_interval` cycles that moves payloads in bulk using the
-/// analytic estimate below. Any event the analytic model cannot capture —
-/// congestion onset, a fault plan on the link, a collective
+/// expression reproduces exactly. A flow-capable `sim::Link` (link.h)
+/// exploits this: it starts cycle-accurate and, once it has been provably
+/// undisturbed for a configurable window, replaces per-cycle stepping with
+/// one *modeled wake* per `flow_interval` cycles that moves payloads in bulk
+/// using the analytic plan below. Any event the analytic model cannot
+/// capture — congestion onset, a fault plan on the link, a collective
 /// synchronization point, a parallel-scheduler run — demotes the link back
 /// to cycle accuracy (see DESIGN.md §10 for the full state machine).
 ///
-/// The analytic model is *calibrated*, not assumed: the constants in
-/// `FidelityCalibration` are fit offline against cycle-accurate
-/// `bench_latency`/`bench_bandwidth` runs and checked into
-/// `data/fidelity_calibration.json`. For this fabric the steady-state model
-/// is structurally exact (one payload per cycle, fixed pipeline latency), so
-/// the shipped constants are the identity — but the calibration path keeps
-/// the flow model honest if the cycle-accurate link ever changes.
+/// The steady-state model needs no fitted constants: the link moves one
+/// payload per cycle through a fixed pipeline, so the bandwidth bound is
+/// the elapsed cycle count and the hop latency is the link latency.
 
 #include <cstdint>
 #include <string>
@@ -53,27 +49,8 @@ enum class FidelityMode {
 FidelityMode ParseFidelityMode(const std::string& text);
 const char* FidelityModeName(FidelityMode mode);
 
-/// Constants of the analytic steady-state model, calibrated offline against
-/// cycle-accurate runs (see data/fidelity_calibration.json).
-struct FidelityCalibration {
-  /// Inverse steady-state bandwidth: cycles consumed per payload on a
-  /// saturated link (1.0 = one payload per cycle, the line rate).
-  double cycles_per_payload = 1.0;
-  /// Effective pipeline latency = round(latency * latency_scale) + offset.
-  double latency_scale = 1.0;
-  std::int64_t latency_offset = 0;
-
-  /// Strict parse of a calibration object: all three keys required, numbers
-  /// only, cycles_per_payload and latency_scale > 0, no unknown keys.
-  /// Throws ConfigError on violation.
-  static FidelityCalibration FromJson(const json::Value& v);
-  /// Load from a JSON file holding {"calibration": {...}}.
-  static FidelityCalibration FromFile(const std::string& path);
-  json::Value ToJson() const;
-};
-
-/// Engine-level fidelity policy, applied to every FlowLink the fabric
-/// builds (EngineConfig::fidelity).
+/// Engine-level fidelity policy (EngineConfig::fidelity), applied to every
+/// link built through the engine (see sim::Link).
 struct FidelityPolicy {
   FidelityMode mode = FidelityMode::kCycle;
   /// Consecutive undisturbed accepted payloads before a link promotes to
@@ -83,15 +60,22 @@ struct FidelityPolicy {
   /// than each interface FIFO's capacity so bulk transfers can never
   /// outrun what the cycle-accurate link would have moved.
   Cycle flow_interval = 64;
-  /// Thrash detection: warn (once per window) when a link transitions
-  /// between fidelity modes more than `thrash_limit` times within any
-  /// `thrash_window` cycles.
-  std::uint64_t thrash_limit = 8;
-  Cycle thrash_window = 10000;
-  FidelityCalibration calibration;
 
   bool enabled() const { return mode != FidelityMode::kCycle; }
 };
+
+/// Thrash detection: a link that transitions between fidelity modes more
+/// than kFidelityThrashLimit times within kFidelityThrashWindow cycles
+/// counts a thrash warning and logs it, once per window.
+inline constexpr std::uint64_t kFidelityThrashLimit = 8;
+inline constexpr Cycle kFidelityThrashWindow = 10000;
+
+namespace detail {
+/// Emits the thrash warning through the logging layer (fidelity.cpp keeps
+/// the logging include out of the link header).
+void WarnFidelityThrash(const std::string& link, std::uint64_t transitions,
+                        Cycle now);
+}  // namespace detail
 
 /// One modeled bulk transfer, planned by PlanFlowTransfer.
 struct FlowBatch {
@@ -103,9 +87,10 @@ struct FlowBatch {
   /// on an underfull link it never claims a pop earlier than the
   /// cycle-accurate link could have performed it).
   Cycle first_pop = 0;
-  /// Line-rate capacity of the elapsed window (elapsed / cycles_per_payload)
-  /// before the TX-occupancy and credit bounds. accepts < interval_budget
-  /// with a drained TX marks a stream tail (see FlowLink's demotion rules).
+  /// Line-rate capacity of the elapsed window (one payload per elapsed
+  /// cycle) before the TX-occupancy and credit bounds. accepts <
+  /// interval_budget with a drained TX marks a stream tail (see the flow
+  /// demotion rules in link.h).
   std::uint64_t interval_budget = 0;
 };
 
@@ -115,18 +100,11 @@ struct FlowBatch {
 /// unit-tested against closed forms in tests/sim/fidelity_test.cpp.
 FlowBatch PlanFlowTransfer(Cycle last_wake, Cycle now,
                            std::uint64_t tx_available,
-                           std::uint64_t window_free,
-                           const FidelityCalibration& calib);
+                           std::uint64_t window_free);
 
-/// Calibrated effective pipeline latency of a hop (>= 0).
-Cycle EstimateHopLatency(Cycle link_latency, const FidelityCalibration& calib);
-
-/// Calibrated steady-state bandwidth in payloads per cycle.
-double EstimateSteadyBandwidth(const FidelityCalibration& calib);
-
-/// Control interface every FlowLink registers with its engine, letting the
-/// engine demote links at collective synchronization points and pin them to
-/// cycle accuracy for the duration of a parallel run.
+/// Control interface every flow-capable link registers with its engine,
+/// letting the engine demote links at collective synchronization points and
+/// pin them to cycle accuracy for the duration of a parallel run.
 class FlowLinkControl {
  public:
   virtual ~FlowLinkControl();

@@ -69,7 +69,7 @@ class FifoBase {
     return head_ < visible_tail_ && !pop_used_;
   }
 
-  /// --- Modeled bulk access (flow-level link model; see sim/fidelity.h) ---
+  /// --- Modeled bulk access (flow mode of sim::Link; see sim/link.h) ---
   ///
   /// A flow-modeled link moves several cycles' worth of payloads in one
   /// wake, deliberately bypassing the one-operation-per-port-per-cycle

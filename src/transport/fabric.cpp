@@ -326,18 +326,12 @@ void Fabric::BuildLinks(
         }
         rec.rlink = &link;
         rec.fault_pinned = fidelity.enabled();
-      } else if (fidelity.enabled()) {
-        sim::FlowLink<net::Packet>& link =
-            engine.MakeComponent<sim::FlowLink<net::Packet>>(
-                engine, link_name, tx, rx, config_.link_latency, fidelity);
-        engine.MarkCutComponent(link, link, from.rank, to.rank);
-        rec.flow = &link;
       } else {
         sim::Link<net::Packet>& link =
             engine.MakeComponent<sim::Link<net::Packet>>(
-                link_name, tx, rx, config_.link_latency);
+                engine, link_name, tx, rx, config_.link_latency);
         engine.MarkCutComponent(link, link, from.rank, to.rank);
-        rec.plain = &link;
+        rec.link = &link;
       }
       if (from.rank == a.rank) {
         cables_[cable_index].fwd_link = link_index;
@@ -426,13 +420,8 @@ void Fabric::UploadHandlers(const std::vector<HandlerTable>& tables) {
 std::uint64_t Fabric::TotalLinkPackets() const {
   std::uint64_t total = 0;
   for (const LinkRec& rec : link_recs_) {
-    if (rec.plain != nullptr) {
-      total += rec.plain->delivered();
-    } else if (rec.flow != nullptr) {
-      total += rec.flow->delivered();
-    } else {
-      total += rec.rlink->delivered();
-    }
+    total += rec.link != nullptr ? rec.link->delivered()
+                                 : rec.rlink->delivered();
   }
   return total;
 }
@@ -572,7 +561,7 @@ json::Value Fabric::FidelityJson() const {
   std::vector<const sim::FlowLinkControl*> links;
   json::Array pinned;
   for (const LinkRec& rec : link_recs_) {
-    if (rec.flow != nullptr) links.push_back(rec.flow);
+    if (rec.link != nullptr) links.push_back(rec.link);
     if (rec.fault_pinned) {
       pinned.push_back(std::string(fault::DirectedKey(
           rec.from.rank, rec.from.port, rec.to.rank, rec.to.port)));

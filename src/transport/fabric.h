@@ -40,7 +40,6 @@
 #include "net/routing.h"
 #include "net/topology.h"
 #include "sim/engine.h"
-#include "sim/flow_link.h"
 #include "sim/link.h"
 #include "sim/link_fault.h"
 #include "sim/reliable_link.h"
@@ -168,14 +167,15 @@ class Fabric final : public sim::LinkDeathSink {
     std::size_t rev_link = 0;  ///< b -> a directed link index
     bool alive = true;
   };
-  /// One directed link (index shared by links_/rlinks_ reporting).
+  /// One directed link; its index in link_recs_ is the link id of reports
+  /// and of the death sink.
   struct LinkRec {
     net::PortId from, to;
     std::size_t cable = 0;
     PacketFifo* tx = nullptr;  ///< CKS-side net FIFO feeding the link
-    sim::Link<net::Packet>* plain = nullptr;        ///< lossless build
+    /// Lossless build; flow-capable under a non-cycle fidelity policy.
+    sim::Link<net::Packet>* link = nullptr;
     sim::ReliableLink<net::Packet>* rlink = nullptr;  ///< fault-plan build
-    sim::FlowLink<net::Packet>* flow = nullptr;     ///< hybrid-fidelity build
     /// Under a fault plan + non-cycle fidelity: true when this link kept the
     /// cycle-accurate reliable build because its cable has an active fault
     /// spec (injected faults are always timed exactly).

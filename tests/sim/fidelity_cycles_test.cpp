@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/smi.h"
-#include "sim/flow_link.h"
+#include "sim/link.h"
 
 namespace smi::core {
 namespace {
@@ -116,9 +116,9 @@ Outcome RunChain(const ChainRow& row, SchedulerKind kind) {
         &engine.MakeFifo<std::uint32_t>("f" + std::to_string(i), 64));
   }
   for (int i = 0; i < row.hops; ++i) {
-    engine.MakeComponent<sim::FlowLink<std::uint32_t>>(
+    engine.MakeComponent<sim::Link<std::uint32_t>>(
         engine, "link" + std::to_string(i), *fifos[static_cast<std::size_t>(i)],
-        *fifos[static_cast<std::size_t>(i) + 1], 8, config.fidelity);
+        *fifos[static_cast<std::size_t>(i) + 1], 8);
   }
   Outcome out;
   engine.AddKernel(Produce(*fifos.front(), row.payloads, row.shape), "p");

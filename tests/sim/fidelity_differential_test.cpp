@@ -1,6 +1,6 @@
 /// \file fidelity_differential_test.cpp
 /// Differential tests for the hybrid-fidelity fast path (sim/fidelity.h,
-/// sim/flow_link.h): every workload runs cycle-accurate and under the auto
+/// sim/link.h): every workload runs cycle-accurate and under the auto
 /// fidelity policy, across the synchronous, event-driven, and parallel
 /// schedulers at several thread counts. The contract under test:
 ///
@@ -25,7 +25,7 @@
 #include "common/json.h"
 #include "core/smi.h"
 #include "fault/fault.h"
-#include "sim/flow_link.h"
+#include "sim/link.h"
 
 namespace smi::core {
 namespace {
@@ -86,9 +86,9 @@ ChainRun RunChain(SchedulerKind kind, FidelityMode mode, int hops, int n) {
         &engine.MakeFifo<std::uint32_t>("f" + std::to_string(i), 64));
   }
   for (int i = 0; i < hops; ++i) {
-    engine.MakeComponent<sim::FlowLink<std::uint32_t>>(
+    engine.MakeComponent<sim::Link<std::uint32_t>>(
         engine, "link" + std::to_string(i), *fifos[static_cast<std::size_t>(i)],
-        *fifos[static_cast<std::size_t>(i) + 1], 8, config.fidelity);
+        *fifos[static_cast<std::size_t>(i) + 1], 8);
   }
   ChainRun r;
   engine.AddKernel(Produce(*fifos.front(), n), "p");

@@ -2,30 +2,26 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "common/error.h"
 #include "sim/engine.h"
-#include "sim/flow_link.h"
+#include "sim/link.h"
 
 namespace smi::sim {
 namespace {
 
 // --- PlanFlowTransfer closed forms -------------------------------------
 
-FidelityCalibration Identity() { return FidelityCalibration{}; }
-
 TEST(PlanFlowTransfer, ZeroElapsedPlansNothing) {
-  const FlowBatch b = PlanFlowTransfer(100, 100, 50, 50, Identity());
+  const FlowBatch b = PlanFlowTransfer(100, 100, 50, 50);
   EXPECT_EQ(b.accepts, 0u);
   EXPECT_EQ(b.interval_budget, 0u);
 }
 
 TEST(PlanFlowTransfer, EmptyTxPlansNothingButReportsBudget) {
   // Zero-length message stream: the wake still elapses a full interval.
-  const FlowBatch b = PlanFlowTransfer(64, 96, 0, 50, Identity());
+  const FlowBatch b = PlanFlowTransfer(64, 96, 0, 50);
   EXPECT_EQ(b.accepts, 0u);
   EXPECT_EQ(b.interval_budget, 32u);
 }
@@ -33,7 +29,7 @@ TEST(PlanFlowTransfer, EmptyTxPlansNothingButReportsBudget) {
 TEST(PlanFlowTransfer, SaturatedMatchesPerCycleSchedule) {
   // tx and window both exceed the elapsed budget: one pop per cycle,
   // last_wake + 1 .. now, exactly what the cycle-accurate link does.
-  const FlowBatch b = PlanFlowTransfer(64, 96, 100, 100, Identity());
+  const FlowBatch b = PlanFlowTransfer(64, 96, 100, 100);
   EXPECT_EQ(b.accepts, 32u);
   EXPECT_EQ(b.interval_budget, 32u);
   EXPECT_EQ(b.first_pop, 65u);
@@ -44,14 +40,14 @@ TEST(PlanFlowTransfer, SingleCreditWindowIsLatestConsistent) {
   // The credit window caps the batch at one payload. The pop cycle of a
   // credit-gated payload is unknown within the window, so the plan must be
   // latest-consistent: the single pop lands on the wake cycle itself.
-  const FlowBatch b = PlanFlowTransfer(64, 96, 100, 1, Identity());
+  const FlowBatch b = PlanFlowTransfer(64, 96, 100, 1);
   EXPECT_EQ(b.accepts, 1u);
   EXPECT_EQ(b.first_pop, 96u);
 }
 
 TEST(PlanFlowTransfer, ExhaustedWindowPlansNothing) {
   // Saturated-contention corner: no credit left at all.
-  const FlowBatch b = PlanFlowTransfer(64, 96, 100, 0, Identity());
+  const FlowBatch b = PlanFlowTransfer(64, 96, 100, 0);
   EXPECT_EQ(b.accepts, 0u);
   EXPECT_EQ(b.interval_budget, 32u);
 }
@@ -60,43 +56,10 @@ TEST(PlanFlowTransfer, DrainedTailIsEarliestConsistent) {
   // TX-bound partial batch: all five payloads were committed-available at
   // the previous wake and the window stays open, so the cycle-accurate link
   // would have popped them back-to-back right after it.
-  const FlowBatch b = PlanFlowTransfer(64, 96, 5, 100, Identity());
+  const FlowBatch b = PlanFlowTransfer(64, 96, 5, 100);
   EXPECT_EQ(b.accepts, 5u);
   EXPECT_EQ(b.interval_budget, 32u);
   EXPECT_EQ(b.first_pop, 65u);
-}
-
-TEST(PlanFlowTransfer, HalfRateCalibrationHalvesTheBudget) {
-  FidelityCalibration c;
-  c.cycles_per_payload = 2.0;
-  const FlowBatch b = PlanFlowTransfer(0, 32, 100, 100, c);
-  EXPECT_EQ(b.interval_budget, 16u);
-  EXPECT_EQ(b.accepts, 16u);
-  // 16 pops ending at the wake cycle.
-  EXPECT_EQ(b.first_pop, 17u);
-}
-
-// --- Calibrated estimates ----------------------------------------------
-
-TEST(FidelityEstimates, IdentityHopLatency) {
-  EXPECT_EQ(EstimateHopLatency(16, Identity()), 16u);
-  EXPECT_EQ(EstimateHopLatency(0, Identity()), 0u);
-}
-
-TEST(FidelityEstimates, ScaledAndOffsetHopLatency) {
-  FidelityCalibration c;
-  c.latency_scale = 0.5;
-  c.latency_offset = 3;
-  EXPECT_EQ(EstimateHopLatency(16, c), 11u);
-  c.latency_offset = -100;
-  EXPECT_EQ(EstimateHopLatency(16, c), 0u);  // clamped at zero
-}
-
-TEST(FidelityEstimates, SteadyBandwidthIsInverseCost) {
-  FidelityCalibration c;
-  c.cycles_per_payload = 4.0;
-  EXPECT_DOUBLE_EQ(EstimateSteadyBandwidth(c), 0.25);
-  EXPECT_DOUBLE_EQ(EstimateSteadyBandwidth(Identity()), 1.0);
 }
 
 // --- Strict mode parsing -----------------------------------------------
@@ -114,67 +77,6 @@ TEST(ParseFidelityModeTest, RejectsPartialAndDecoratedTokens) {
   EXPECT_THROW(ParseFidelityMode(" cycle"), ConfigError);
   EXPECT_THROW(ParseFidelityMode("cycle "), ConfigError);
   EXPECT_THROW(ParseFidelityMode("fl"), ConfigError);
-}
-
-// --- Calibration parsing ------------------------------------------------
-
-json::Value CalibJson(double cpp, double scale, double offset) {
-  json::Object o;
-  o["cycles_per_payload"] = cpp;
-  o["latency_scale"] = scale;
-  o["latency_offset"] = offset;
-  return o;
-}
-
-TEST(FidelityCalibrationTest, RoundTripsThroughJson) {
-  FidelityCalibration c;
-  c.cycles_per_payload = 1.25;
-  c.latency_scale = 0.75;
-  c.latency_offset = -2;
-  const FidelityCalibration back = FidelityCalibration::FromJson(c.ToJson());
-  EXPECT_DOUBLE_EQ(back.cycles_per_payload, 1.25);
-  EXPECT_DOUBLE_EQ(back.latency_scale, 0.75);
-  EXPECT_EQ(back.latency_offset, -2);
-}
-
-TEST(FidelityCalibrationTest, RejectsMalformedObjects) {
-  EXPECT_THROW(FidelityCalibration::FromJson(json::Value()), ConfigError);
-  json::Value missing = CalibJson(1.0, 1.0, 0.0);
-  missing.as_object().erase("latency_scale");
-  EXPECT_THROW(FidelityCalibration::FromJson(missing), ConfigError);
-  json::Value extra = CalibJson(1.0, 1.0, 0.0);
-  extra.as_object()["bogus"] = 1.0;
-  EXPECT_THROW(FidelityCalibration::FromJson(extra), ConfigError);
-  EXPECT_THROW(FidelityCalibration::FromJson(CalibJson(0.0, 1.0, 0.0)),
-               ConfigError);
-  EXPECT_THROW(FidelityCalibration::FromJson(CalibJson(1.0, -1.0, 0.0)),
-               ConfigError);
-  EXPECT_THROW(FidelityCalibration::FromJson(CalibJson(1.0, 1.0, 0.5)),
-               ConfigError);
-  json::Value text = CalibJson(1.0, 1.0, 0.0);
-  text.as_object()["cycles_per_payload"] = std::string("fast");
-  EXPECT_THROW(FidelityCalibration::FromJson(text), ConfigError);
-}
-
-TEST(FidelityCalibrationTest, LoadsFromFile) {
-  const std::string path =
-      testing::TempDir() + "/fidelity_calibration_test.json";
-  {
-    std::ofstream out(path);
-    out << "{\"calibration\": {\"cycles_per_payload\": 1.0, "
-           "\"latency_scale\": 1.0, \"latency_offset\": 0}}";
-  }
-  const FidelityCalibration c = FidelityCalibration::FromFile(path);
-  EXPECT_DOUBLE_EQ(c.cycles_per_payload, 1.0);
-  std::remove(path.c_str());
-
-  const std::string bad = testing::TempDir() + "/fidelity_bad_test.json";
-  {
-    std::ofstream out(bad);
-    out << "{\"not_calibration\": {}}";
-  }
-  EXPECT_THROW(FidelityCalibration::FromFile(bad), ConfigError);
-  std::remove(bad.c_str());
 }
 
 // --- Bulk modeled FIFO transfers ---------------------------------------
@@ -227,7 +129,7 @@ TEST(FifoBulkModeled, EnforcesBudgets) {
   f.PushBulkModeled(in, 0, 1);
 }
 
-// --- FlowLink state machine --------------------------------------------
+// --- Flow-mode state machine of sim::Link --------------------------------------------
 
 Kernel Produce(Fifo<int>& out, int n) {
   for (int i = 0; i < n; ++i) co_await fifo_push(out, i);
@@ -264,9 +166,9 @@ ChainResult RunChain(FidelityMode mode, int hops, int payloads,
     fifos.push_back(&engine.MakeFifo<int>("f" + std::to_string(i), 64));
   }
   for (int i = 0; i < hops; ++i) {
-    engine.MakeComponent<FlowLink<int>>(
+    engine.MakeComponent<Link<int>>(
         engine, "link" + std::to_string(i), *fifos[static_cast<std::size_t>(i)],
-        *fifos[static_cast<std::size_t>(i) + 1], 8, config.fidelity);
+        *fifos[static_cast<std::size_t>(i) + 1], 8);
   }
   ChainResult r;
   engine.AddKernel(Produce(*fifos.front(), payloads), "p");
@@ -312,20 +214,18 @@ TEST(FlowLinkStateMachine, AutoPromotesOnSteadyStateAndStaysAccurate) {
 
 TEST(FlowLinkStateMachine, BurstyTrafficUnderFlowModeCountsThrash) {
   // kFlow with a tiny hysteresis window promotes on every burst and drains
-  // in every gap: the thrash detector must fire and count it.
+  // in every gap: the thrash detector (more than 8 transitions within
+  // 10000 cycles) must fire and count it.
   FidelityPolicy policy;
   policy.steady_window = 1;
   policy.flow_interval = 16;
-  policy.thrash_limit = 4;
-  policy.thrash_window = 100000;
   EngineConfig config;
   config.fidelity = policy;
   config.fidelity.mode = FidelityMode::kFlow;
   Engine engine(config);
   Fifo<int>& tx = engine.MakeFifo<int>("tx", 64);
   Fifo<int>& rx = engine.MakeFifo<int>("rx", 64);
-  engine.MakeComponent<FlowLink<int>>(engine, "link", tx, rx, 8,
-                                      config.fidelity);
+  engine.MakeComponent<Link<int>>(engine, "link", tx, rx, 8);
   const int bursts = 20;
   const int burst = 40;
   std::vector<int> sink;
@@ -351,8 +251,7 @@ TEST(FlowLinkStateMachine, FidelityReportShapesUp) {
   Engine engine(config);
   Fifo<int>& tx = engine.MakeFifo<int>("tx", 64);
   Fifo<int>& rx = engine.MakeFifo<int>("rx", 64);
-  engine.MakeComponent<FlowLink<int>>(engine, "link", tx, rx, 8,
-                                      config.fidelity);
+  engine.MakeComponent<Link<int>>(engine, "link", tx, rx, 8);
   std::vector<int> sink;
   engine.AddKernel(Produce(tx, 4000), "p");
   engine.AddKernel(Consume(rx, 4000, sink), "c");

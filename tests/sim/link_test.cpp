@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/engine.h"
 
 namespace smi::sim {
@@ -88,6 +90,26 @@ TEST(Link, BackpressuresWhenReceiverStalls) {
 // Manually clocked unit tests for the credit window and the event-driven
 // wake contract — these pin the exact behaviour the parallel scheduler's
 // split-link implementation must reproduce (see CutLink in component.h).
+//
+// Each runs on two inputs: a cycle-only link, and a flow-capable link built
+// under an engine policy of kAuto (it registers and tracks steady state but
+// never promotes here). Both modes share one cycle step, so every
+// expectation holds for both.
+
+/// The cycle-only link when `engine` is null, else the flow-capable one.
+std::unique_ptr<Link<int>> MakeManualLink(Engine* engine, Fifo<int>& tx,
+                                          Fifo<int>& rx, Cycle latency) {
+  if (engine == nullptr) {
+    return std::make_unique<Link<int>>("link", tx, rx, latency);
+  }
+  return std::make_unique<Link<int>>(*engine, "link", tx, rx, latency);
+}
+
+EngineConfig AutoFidelity() {
+  EngineConfig config;
+  config.fidelity.mode = FidelityMode::kAuto;
+  return config;
+}
 
 /// One simulated cycle: step the link, then commit both FIFOs (the cycle
 /// boundary the engine would apply).
@@ -98,66 +120,81 @@ void StepManually(Link<int>& link, Fifo<int>& tx, Fifo<int>& rx, Cycle now) {
 }
 
 TEST(Link, CreditWindowIsExactlyLatencyPlusOneUnderRxStall) {
-  Fifo<int> tx("tx", 16);
-  Fifo<int> rx("rx", 1);
-  const Cycle latency = 4;
-  Link<int> link("link", tx, rx, latency);
-  // Saturate TX and never pop RX: one delivery fills the RX FIFO, after
-  // which the pipeline must stall holding exactly latency+1 payloads —
-  // the credit window of the physical transceiver.
-  int next = 0;
-  for (Cycle now = 0; now < 200; ++now) {
-    if (tx.CanPush(now)) tx.Push(next++, now);
-    StepManually(link, tx, rx, now);
+  for (const bool flow_capable : {false, true}) {
+    SCOPED_TRACE(flow_capable ? "flow-capable" : "cycle-only");
+    Engine engine(AutoFidelity());
+    Fifo<int> tx("tx", 16);
+    Fifo<int> rx("rx", 1);
+    const Cycle latency = 4;
+    const std::unique_ptr<Link<int>> owned =
+        MakeManualLink(flow_capable ? &engine : nullptr, tx, rx, latency);
+    Link<int>& link = *owned;
+    // Saturate TX and never pop RX: one delivery fills the RX FIFO, after
+    // which the pipeline must stall holding exactly latency+1 payloads —
+    // the credit window of the physical transceiver.
+    int next = 0;
+    for (Cycle now = 0; now < 200; ++now) {
+      if (tx.CanPush(now)) tx.Push(next++, now);
+      StepManually(link, tx, rx, now);
+    }
+    EXPECT_EQ(link.delivered(), 1u);
+    EXPECT_EQ(tx.total_pops() - link.delivered(),
+              static_cast<std::uint64_t>(latency) + 1);
+    // Not latency, not latency+2: the accept count pins the window size.
+    EXPECT_EQ(tx.total_pops(), static_cast<std::uint64_t>(latency) + 2);
+    EXPECT_FALSE(link.in_flow_mode());
+    EXPECT_EQ(engine.flow_links().size(), flow_capable ? 1u : 0u);
   }
-  EXPECT_EQ(link.delivered(), 1u);
-  EXPECT_EQ(tx.total_pops() - link.delivered(),
-            static_cast<std::uint64_t>(latency) + 1);
-  // Not latency, not latency+2: the accept count pins the window size.
-  EXPECT_EQ(tx.total_pops(), static_cast<std::uint64_t>(latency) + 2);
 }
 
 TEST(Link, NextSelfWakeCoversMaturityButNotRxStall) {
-  Fifo<int> tx("tx", 4);
-  Fifo<int> rx("rx", 1);
-  const Cycle latency = 3;
-  Link<int> link("link", tx, rx, latency);
+  for (const bool flow_capable : {false, true}) {
+    SCOPED_TRACE(flow_capable ? "flow-capable" : "cycle-only");
+    Engine engine(AutoFidelity());
+    Fifo<int> tx("tx", 4);
+    Fifo<int> rx("rx", 1);
+    const Cycle latency = 3;
+    const std::unique_ptr<Link<int>> owned =
+        MakeManualLink(flow_capable ? &engine : nullptr, tx, rx, latency);
+    Link<int>& link = *owned;
 
-  // Empty pipeline: no timed wake.
-  EXPECT_EQ(link.NextSelfWake(0), kNeverCycle);
+    // Empty pipeline: no timed wake.
+    EXPECT_EQ(link.NextSelfWake(0), kNeverCycle);
 
-  // Two payloads, one push per cycle; the link accepts them at cycles 1
-  // and 2, so they mature at 4 and 5.
-  tx.Push(1, 0);
-  StepManually(link, tx, rx, 0);
-  tx.Push(2, 1);
-  StepManually(link, tx, rx, 1);
-  StepManually(link, tx, rx, 2);
+    // Two payloads, one push per cycle; the link accepts them at cycles 1
+    // and 2, so they mature at 4 and 5.
+    tx.Push(1, 0);
+    StepManually(link, tx, rx, 0);
+    tx.Push(2, 1);
+    StepManually(link, tx, rx, 1);
+    StepManually(link, tx, rx, 2);
 
-  // In-flight head not yet matured: the wake is its maturity cycle.
-  EXPECT_EQ(link.NextSelfWake(2), Cycle{4});
-  StepManually(link, tx, rx, 3);
-  EXPECT_EQ(link.NextSelfWake(3), Cycle{4});
+    // In-flight head not yet matured: the wake is its maturity cycle.
+    EXPECT_EQ(link.NextSelfWake(2), Cycle{4});
+    StepManually(link, tx, rx, 3);
+    EXPECT_EQ(link.NextSelfWake(3), Cycle{4});
 
-  // Cycle 4 delivers the first payload, filling the depth-1 RX FIFO; the
-  // second payload matures at 5 but finds RX full.
-  StepManually(link, tx, rx, 4);
-  EXPECT_EQ(link.delivered(), 1u);
-  EXPECT_EQ(link.NextSelfWake(4), Cycle{5});
-  StepManually(link, tx, rx, 5);
-  EXPECT_EQ(link.delivered(), 1u);  // stalled
+    // Cycle 4 delivers the first payload, filling the depth-1 RX FIFO; the
+    // second payload matures at 5 but finds RX full.
+    StepManually(link, tx, rx, 4);
+    EXPECT_EQ(link.delivered(), 1u);
+    EXPECT_EQ(link.NextSelfWake(4), Cycle{5});
+    StepManually(link, tx, rx, 5);
+    EXPECT_EQ(link.delivered(), 1u);  // stalled
 
-  // Matured-but-stalled head: NO timed wake. Only RX-pop activity can
-  // unstall it, and FIFO activity wakes the link through DeclareWakeFifos,
-  // so a timer here would be a pure busy-poll.
-  EXPECT_EQ(link.NextSelfWake(5), kNeverCycle);
+    // Matured-but-stalled head: NO timed wake. Only RX-pop activity can
+    // unstall it, and FIFO activity wakes the link through DeclareWakeFifos,
+    // so a timer here would be a pure busy-poll.
+    EXPECT_EQ(link.NextSelfWake(5), kNeverCycle);
 
-  // An RX pop unstalls the delivery on the following cycle.
-  (void)rx.Pop(6);
-  StepManually(link, tx, rx, 6);
-  StepManually(link, tx, rx, 7);
-  EXPECT_EQ(link.delivered(), 2u);
-  EXPECT_EQ(link.NextSelfWake(7), kNeverCycle);  // pipeline drained
+    // An RX pop unstalls the delivery on the following cycle.
+    (void)rx.Pop(6);
+    StepManually(link, tx, rx, 6);
+    StepManually(link, tx, rx, 7);
+    EXPECT_EQ(link.delivered(), 2u);
+    EXPECT_EQ(link.NextSelfWake(7), kNeverCycle);  // pipeline drained
+    EXPECT_FALSE(link.in_flow_mode());
+  }
 }
 
 }  // namespace
