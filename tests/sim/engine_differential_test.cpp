@@ -18,6 +18,9 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "core/smi.h"
+#include "obs/recorder.h"
+#include "sim/link.h"
+#include "sim/reliable_link.h"
 
 namespace smi::core {
 namespace {
@@ -287,6 +290,108 @@ TEST(EngineDifferential, IdleHeavyRunStatsAreIdentical) {
     EXPECT_EQ(par_sink, sync_sink) << "threads=" << threads;
     EXPECT_EQ(par.partitions, 1u);  // no tags -> one partition
   }
+}
+
+// ---------------------------------------------------------------------------
+// Overshoot trim on a cut link that is NOT split: daemon kernels stream over
+// a cut link between partition tags 0 and 1 while one app kernel waits 300
+// cycles. The stream keeps running past the completion cycle in the final
+// parallel epoch. With one worker both tags share a partition, so the link
+// steps fused; its deliveries and counters must still be trimmed back to the
+// completion cycle exactly like the split halves' are.
+
+Kernel EndlessProducer(sim::Fifo<int>& out) {
+  for (int i = 0;; ++i) co_await fifo_push(out, i);
+}
+
+Kernel EndlessConsumer(sim::Fifo<int>& in) {
+  for (;;) co_await fifo_pop(in);
+}
+
+Kernel Waiter(Cycle cycles) { co_await WaitCycles{cycles}; }
+
+struct DaemonStreamObservation {
+  RunStats stats;
+  std::uint64_t delivered = 0;
+  std::string summary;
+  std::string counters;
+};
+
+template <typename MakeLink>
+DaemonStreamObservation RunDaemonStream(SchedulerKind kind, unsigned threads,
+                                        MakeLink&& make_link) {
+  EngineConfig config;
+  config.scheduler = kind;
+  config.threads = threads;
+  config.collect_counters = true;
+  Engine engine(config);
+  sim::Fifo<int>* tx = nullptr;
+  sim::Fifo<int>* rx = nullptr;
+  {
+    sim::PartitionTagScope tag(engine, 0);
+    tx = &engine.MakeFifo<int>("tx", 16);
+    engine.AddKernel(EndlessProducer(*tx), "producer", /*daemon=*/true);
+    engine.AddKernel(Waiter(300), "app");
+  }
+  {
+    sim::PartitionTagScope tag(engine, 1);
+    rx = &engine.MakeFifo<int>("rx", 16);
+    engine.AddKernel(EndlessConsumer(*rx), "consumer", /*daemon=*/true);
+  }
+  const auto delivered = [&] {
+    sim::PartitionTagScope tag(engine, 0);
+    return make_link(engine, *tx, *rx);
+  }();
+  DaemonStreamObservation obs;
+  obs.stats = engine.Run();
+  obs.delivered = delivered();
+  obs.summary = engine.recorder()->SummaryJson().dump();
+  obs.counters = engine.recorder()->CountersJson().dump();
+  return obs;
+}
+
+template <typename MakeLink>
+void ExpectDaemonStreamTrimmed(MakeLink make_link) {
+  const DaemonStreamObservation sync =
+      RunDaemonStream(SchedulerKind::kSynchronous, 1, make_link);
+  EXPECT_EQ(sync.stats.cycles, 301u);
+  EXPECT_GT(sync.delivered, 200u);  // the stream really ran
+  const auto expect_same = [&](const DaemonStreamObservation& got,
+                               const std::string& label) {
+    EXPECT_EQ(got.stats.cycles, sync.stats.cycles) << label;
+    EXPECT_EQ(got.stats.kernel_resumes, sync.stats.kernel_resumes) << label;
+    EXPECT_EQ(got.delivered, sync.delivered) << label;
+    EXPECT_EQ(got.summary, sync.summary) << label;
+    EXPECT_EQ(got.counters, sync.counters) << label;
+  };
+  expect_same(RunDaemonStream(SchedulerKind::kEventDriven, 1, make_link),
+              "event");
+  for (const unsigned threads : kThreadCounts) {
+    expect_same(RunDaemonStream(SchedulerKind::kParallel, threads, make_link),
+                "parallel threads=" + std::to_string(threads));
+  }
+}
+
+TEST(EngineDifferential, DaemonStreamOverCutLinkTrimsAtCompletion) {
+  ExpectDaemonStreamTrimmed(
+      [](Engine& engine, sim::Fifo<int>& tx, sim::Fifo<int>& rx) {
+        auto& link =
+            engine.MakeComponent<sim::Link<int>>(engine, "link", tx, rx, 20);
+        engine.MarkCutComponent(link, link, 0, 1);
+        return [&link] { return link.delivered(); };
+      });
+}
+
+TEST(EngineDifferential, DaemonStreamOverCutReliableLinkTrimsAtCompletion) {
+  ExpectDaemonStreamTrimmed(
+      [](Engine& engine, sim::Fifo<int>& tx, sim::Fifo<int>& rx) {
+        sim::ReliableLinkConfig rcfg;
+        rcfg.latency = 20;
+        auto& link = engine.MakeComponent<sim::ReliableLink<int>>(
+            "rlink", tx, rx, rcfg);
+        engine.MarkCutComponent(link, link, 0, 1);
+        return [&link] { return link.delivered(); };
+      });
 }
 
 // ---------------------------------------------------------------------------
