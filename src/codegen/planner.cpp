@@ -86,8 +86,8 @@ core::CollKind KindFromName(const std::string& name) {
 
 resources::HandlerKind HandlerKindFromName(const std::string& name) {
   for (const resources::HandlerKind k :
-       {resources::HandlerKind::kReduceCombine, resources::HandlerKind::kFanOut,
-        resources::HandlerKind::kFilter}) {
+       {resources::HandlerKind::kReduceCombine,
+        resources::HandlerKind::kFanOut}) {
     if (name == resources::HandlerKindName(k)) return k;
   }
   throw ParseError("unknown handler class in plan: " + name);

@@ -24,14 +24,10 @@
 ///       synchronous scheduler's per-cycle accounting.
 ///  3. *Parallel-overshoot trim.* Under the parallel scheduler, partitions
 ///     overshoot the global completion cycle inside the final epoch. Every
-///     counter update made while a `Journal` is active is logged with its
-///     cycle stamp; at the final barrier the engine replays the journal
-///     backwards, undoing updates at cycles >= the merged finish cycle —
-///     the same mechanism the engine already uses for kernel-resume and
-///     link-delivery accounting. Journals are cleared at every epoch
-///     barrier (only final-epoch entries can ever need trimming), and each
-///     journal is written by exactly one worker thread (entities are
-///     partition-disjoint; split links use one journal per half).
+///     counter update is a revocable update (sim/journal.h): it is logged
+///     with its cycle stamp into the journal of the partition whose worker
+///     makes it, and the engine undoes the updates at cycles >= the merged
+///     finish cycle. No counter block holds or toggles a journal itself.
 
 #include <cstdint>
 #include <string>
@@ -39,70 +35,14 @@
 #include <vector>
 
 #include "sim/clock.h"
+#include "sim/journal.h"
 
 namespace smi::obs {
 
+using sim::CountAt;
+using sim::CountSpan;
 using sim::Cycle;
-
-/// Undo log for counter updates made during a parallel epoch. Inactive (and
-/// empty) under the sequential schedulers.
-class Journal {
- public:
-  void set_active(bool on) {
-    active_ = on;
-    if (!on) entries_.clear();
-  }
-  bool active() const { return active_; }
-  void Clear() { entries_.clear(); }
-
-  /// `counter += delta` happened at `cycle`.
-  void Add(std::uint64_t* counter, Cycle cycle, std::uint64_t delta) {
-    if (active_) entries_.push_back(Entry{Kind::kAdd, counter, cycle, delta});
-  }
-  /// `counter` accumulated one unit per cycle over [from, to).
-  void Span(std::uint64_t* counter, Cycle from, Cycle to) {
-    if (active_) entries_.push_back(Entry{Kind::kSpan, counter, from, to});
-  }
-  /// `counter` was overwritten at `cycle`; `old_value` restores it.
-  void Restore(std::uint64_t* counter, Cycle cycle, std::uint64_t old_value) {
-    if (active_) {
-      entries_.push_back(Entry{Kind::kRestore, counter, cycle, old_value});
-    }
-  }
-
-  /// Undo every logged update attributable to cycles >= `cycle`, newest
-  /// first (so Restore entries land on the oldest surviving value), then
-  /// drop the log.
-  void TrimAtOrAfter(Cycle cycle) {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-      switch (it->kind) {
-        case Kind::kAdd:
-          if (it->a >= cycle) *it->counter -= it->b;
-          break;
-        case Kind::kSpan:
-          if (it->b > cycle) {
-            *it->counter -= it->b - (it->a > cycle ? it->a : cycle);
-          }
-          break;
-        case Kind::kRestore:
-          if (it->a >= cycle) *it->counter = it->b;
-          break;
-      }
-    }
-    entries_.clear();
-  }
-
- private:
-  enum class Kind : std::uint8_t { kAdd, kSpan, kRestore };
-  struct Entry {
-    Kind kind;
-    std::uint64_t* counter;
-    Cycle a;          ///< kAdd/kRestore: cycle stamp; kSpan: interval start
-    std::uint64_t b;  ///< kAdd: delta; kSpan: interval end; kRestore: old value
-  };
-  bool active_ = false;
-  std::vector<Entry> entries_;
-};
+using sim::SetAt;
 
 /// Per-FIFO counters: traffic, occupancy high-water mark and full/empty
 /// stall cycles. Spans are closed at each commit using the state the
@@ -115,33 +55,17 @@ struct FifoCounters {
   std::uint64_t high_water = 0;          ///< max committed occupancy
   std::uint64_t full_stall_cycles = 0;   ///< cycles committed-full (pushers stall)
   std::uint64_t empty_cycles = 0;        ///< cycles committed-empty (poppers stall)
-  Journal journal;
 
-  void OnPush(Cycle now) {
-    ++pushes;
-    journal.Add(&pushes, now, 1);
-  }
-  void OnPop(Cycle now) {
-    ++pops;
-    journal.Add(&pops, now, 1);
-  }
+  void OnPush(Cycle now) { CountAt(pushes, now); }
+  void OnPop(Cycle now) { CountAt(pops, now); }
   /// Bulk transfer at a modeled flow wake: `n` pushes/pops stamped `now`.
-  void OnPushBulk(Cycle now, std::uint64_t n) {
-    pushes += n;
-    journal.Add(&pushes, now, n);
-  }
-  void OnPopBulk(Cycle now, std::uint64_t n) {
-    pops += n;
-    journal.Add(&pops, now, n);
-  }
+  void OnPushBulk(Cycle now, std::uint64_t n) { CountAt(pushes, now, n); }
+  void OnPopBulk(Cycle now, std::uint64_t n) { CountAt(pops, now, n); }
   /// Called at each FIFO commit with the newly committed occupancy. The
   /// committed state set at cycle `now` is observed from cycle `now + 1`.
   void OnCommit(Cycle now, std::size_t occupancy, std::size_t capacity) {
     CloseSpan(now + 1);
-    if (occupancy > high_water) {
-      journal.Restore(&high_water, now, high_water);
-      high_water = occupancy;
-    }
+    if (occupancy > high_water) SetAt(high_water, now, occupancy);
     full_ = occupancy >= capacity;
     empty_ = occupancy == 0;
   }
@@ -151,14 +75,8 @@ struct FifoCounters {
  private:
   void CloseSpan(Cycle to) {
     if (to <= span_from_) return;
-    if (full_) {
-      full_stall_cycles += to - span_from_;
-      journal.Span(&full_stall_cycles, span_from_, to);
-    }
-    if (empty_) {
-      empty_cycles += to - span_from_;
-      journal.Span(&empty_cycles, span_from_, to);
-    }
+    if (full_) CountSpan(full_stall_cycles, span_from_, to);
+    if (empty_) CountSpan(empty_cycles, span_from_, to);
     span_from_ = to;
   }
   Cycle span_from_ = 0;
@@ -180,49 +98,26 @@ struct CkCounters {
   std::uint64_t bursts = 0;  ///< burst starts (first serviced packet of a burst)
   std::uint64_t stalls = 0;  ///< cycles holding a packet with a full output
   // In-network handler activity (transport/handler.h): packets merged away
-  // by reduce-in-transit (CKS), fan-out copies injected (CKR), and packets
-  // dropped by the count/filter handler (CKS). Zero on handler-free fabrics.
+  // by reduce-in-transit (CKS) and fan-out copies injected (CKR). Zero on
+  // handler-free fabrics.
   std::uint64_t handler_combined = 0;
   std::uint64_t handler_splits = 0;
-  std::uint64_t handler_filtered = 0;
-  Journal journal;
 
   void OnForward(int op, Cycle now) {
     if (op < 0 || op > 2) return;  // unknown wire op: not counted
-    ++forwarded_by_op[op];
-    journal.Add(&forwarded_by_op[op], now, 1);
+    CountAt(forwarded_by_op[op], now);
   }
-  void OnHandlerCombine(Cycle now) {
-    ++handler_combined;
-    journal.Add(&handler_combined, now, 1);
-  }
-  void OnHandlerSplit(Cycle now) {
-    ++handler_splits;
-    journal.Add(&handler_splits, now, 1);
-  }
-  void OnHandlerFiltered(Cycle now) {
-    ++handler_filtered;
-    journal.Add(&handler_filtered, now, 1);
-  }
+  void OnHandlerCombine(Cycle now) { CountAt(handler_combined, now); }
+  void OnHandlerSplit(Cycle now) { CountAt(handler_splits, now); }
   void CountPollsTo(Cycle to) {
     polled_ = true;
     if (to <= polls_from_) return;
-    polls += to - polls_from_;
-    journal.Span(&polls, polls_from_, to);
+    CountSpan(polls, polls_from_, to);
     polls_from_ = to;
   }
-  void OnHit(Cycle now) {
-    ++hits;
-    journal.Add(&hits, now, 1);
-  }
-  void OnBurstStart(Cycle now) {
-    ++bursts;
-    journal.Add(&bursts, now, 1);
-  }
-  void OnStall(Cycle now) {
-    ++stalls;
-    journal.Add(&stalls, now, 1);
-  }
+  void OnHit(Cycle now) { CountAt(hits, now); }
+  void OnBurstStart(Cycle now) { CountAt(bursts, now); }
+  void OnStall(Cycle now) { CountAt(stalls, now); }
   void Finalize(Cycle total) {
     // An idle CK is still polled every cycle by the synchronous scheduler;
     // flush the trailing idle gap (no-op if the arbiter never polled, i.e.
@@ -238,7 +133,7 @@ struct CkCounters {
 /// Per-link fidelity-mode counters (see sim/fidelity.h). Owned by the
 /// flow-capable sim::Link itself — they are meaningful without the recorder
 /// — and exposed through LinkCounters::fidelity when telemetry is enabled.
-/// Not journaled: fidelity transitions never happen inside parallel epochs
+/// Not revocable: fidelity transitions never happen inside parallel epochs
 /// (the engine pins every flow-capable link to cycle accuracy for the whole
 /// parallel run and the counters are frozen while pinned).
 struct FidelityCounters {
@@ -264,86 +159,90 @@ struct FidelityCounters {
   }
 };
 
+/// Go-back-N reliability counters of one sim::ReliableLink (always 0 on
+/// lossless links). Owned by the link itself — the fault report reads them
+/// without the recorder — and exposed through LinkCounters::reliability
+/// when telemetry is enabled. Sender-side fields are only written by the
+/// sender half, receiver-side ones by the receiver half, so a split link's
+/// two workers never touch the same field.
+struct ReliabilityCounters {
+  std::uint64_t frames_sent = 0;        ///< wire entries, new + retransmit (TX)
+  std::uint64_t retransmits = 0;        ///< frames re-entered the wire (TX)
+  std::uint64_t timeouts = 0;           ///< retransmission timer fired (TX)
+  std::uint64_t wire_drops = 0;         ///< frames lost to faults (TX entry)
+  std::uint64_t wire_corruptions = 0;   ///< frames corrupted by faults (TX entry)
+  std::uint64_t checksum_failures = 0;  ///< corrupted frames caught (RX)
+  std::uint64_t seq_discards = 0;       ///< duplicate/out-of-order frames (RX)
+  std::uint64_t acks_sent = 0;          ///< acknowledgements sent (RX)
+  std::uint64_t acks_dropped = 0;       ///< acks lost/corrupted by faults (RX)
+  std::uint64_t delivered = 0;          ///< payloads pushed into the RX FIFO
+  std::uint64_t recovered = 0;          ///< payloads handed back at failover
+};
+
+/// One exported reliability counter. Every report that lists reliability
+/// counters (the fault report's per-link rows and totals, the recorder's
+/// link rows) is generated from kReliabilityFields, so adding a counter is
+/// one edit here. `link_row` selects the fields the recorder's per-link
+/// telemetry rows carry; the fault report carries all of them.
+struct ReliabilityField {
+  const char* key;
+  std::uint64_t ReliabilityCounters::*member;
+  bool link_row;
+};
+
+inline constexpr ReliabilityField kReliabilityFields[] = {
+    {"frames_sent", &ReliabilityCounters::frames_sent, false},
+    {"retransmits", &ReliabilityCounters::retransmits, true},
+    {"timeouts", &ReliabilityCounters::timeouts, true},
+    {"wire_drops", &ReliabilityCounters::wire_drops, true},
+    {"wire_corruptions", &ReliabilityCounters::wire_corruptions, true},
+    {"checksum_failures", &ReliabilityCounters::checksum_failures, true},
+    {"seq_discards", &ReliabilityCounters::seq_discards, true},
+    {"acks_sent", &ReliabilityCounters::acks_sent, false},
+    {"acks_dropped", &ReliabilityCounters::acks_dropped, false},
+    {"delivered", &ReliabilityCounters::delivered, false},
+    {"recovered", &ReliabilityCounters::recovered, false},
+};
+
 /// Per-link counters: utilization (delivery cycles) on the receiver side and
-/// credit-window stalls on the sender side. The two sides run on different
-/// worker threads when the link is split, so each owns a journal. Credit
-/// stalls are span-accounted: the stall state computed during a Step holds
-/// for every skipped cycle until the next Step (the wake contract guarantees
-/// a step at every cycle the state could change).
+/// credit-window stalls on the sender side. Credit stalls are
+/// span-accounted: the stall state computed during a Step holds for every
+/// skipped cycle until the next Step (the wake contract guarantees a step at
+/// every cycle the state could change).
 struct LinkCounters {
   std::string name;
   Cycle latency = 0;
   std::uint64_t busy_cycles = 0;          ///< cycles a payload was delivered
   std::uint64_t credit_stall_cycles = 0;  ///< TX had data, credit window full
-  // Reliability-protocol counters (always 0 on lossless links). Sender-side
-  // events journal through tx_journal, receiver-side through rx_journal.
-  std::uint64_t retransmits = 0;         ///< frames re-entered the wire (TX)
-  std::uint64_t timeouts = 0;            ///< retransmission timer fired (TX)
-  std::uint64_t wire_drops = 0;          ///< frames lost to faults (TX entry)
-  std::uint64_t wire_corruptions = 0;    ///< frames corrupted by faults (TX entry)
-  std::uint64_t checksum_failures = 0;   ///< corrupted frames caught (RX)
-  std::uint64_t seq_discards = 0;        ///< duplicate/out-of-order frames (RX)
-  Journal rx_journal;
-  Journal tx_journal;
-  /// Fidelity-mode counters of a flow-capable link (null for cycle-only
-  /// links); set by the link at attach time, exported under "fidelity" in
-  /// CountersJson.
+  /// Counters the link owns itself, set at attach time: fidelity-mode
+  /// counters of a flow-capable sim::Link (exported under "fidelity") and
+  /// the reliability counters of a sim::ReliableLink (exported as the
+  /// kReliabilityFields link-row keys; zeros when null).
   const FidelityCounters* fidelity = nullptr;
+  const ReliabilityCounters* reliability = nullptr;
   bool trace = false;
   std::vector<Cycle> deliveries;  ///< delivery cycles (packet-hop timeline)
 
   void OnDeliver(Cycle now) {
-    ++busy_cycles;
-    rx_journal.Add(&busy_cycles, now, 1);
+    CountAt(busy_cycles, now);
     if (trace) deliveries.push_back(now);
   }
   /// Bulk delivery at a modeled flow wake: `n` payloads, all at cycle `now`.
   void OnDeliverBulk(Cycle now, std::uint64_t n) {
-    busy_cycles += n;
-    rx_journal.Add(&busy_cycles, now, n);
+    CountAt(busy_cycles, now, n);
     if (trace) {
       deliveries.insert(deliveries.end(), static_cast<std::size_t>(n), now);
     }
   }
-  void OnRetransmit(Cycle now) {
-    ++retransmits;
-    tx_journal.Add(&retransmits, now, 1);
-  }
-  void OnTimeout(Cycle now) {
-    ++timeouts;
-    tx_journal.Add(&timeouts, now, 1);
-  }
-  void OnWireDrop(Cycle now) {
-    ++wire_drops;
-    tx_journal.Add(&wire_drops, now, 1);
-  }
-  void OnWireCorruption(Cycle now) {
-    ++wire_corruptions;
-    tx_journal.Add(&wire_corruptions, now, 1);
-  }
-  void OnChecksumFailure(Cycle now) {
-    ++checksum_failures;
-    rx_journal.Add(&checksum_failures, now, 1);
-  }
-  void OnSeqDiscard(Cycle now) {
-    ++seq_discards;
-    rx_journal.Add(&seq_discards, now, 1);
-  }
   /// Called once per sender-side step with this cycle's stall state; closes
   /// the span [tx_from_, now) carried by the previous state.
   void OnTxCycle(Cycle now, bool stalled) {
-    if (tx_stall_ && now > tx_from_) {
-      credit_stall_cycles += now - tx_from_;
-      tx_journal.Span(&credit_stall_cycles, tx_from_, now);
-    }
+    if (tx_stall_) CountSpan(credit_stall_cycles, tx_from_, now);
     tx_stall_ = stalled;
     tx_from_ = now;
   }
   void Finalize(Cycle total) {
-    if (tx_stall_ && total > tx_from_) {
-      credit_stall_cycles += total - tx_from_;
-      tx_journal.Span(&credit_stall_cycles, tx_from_, total);
-    }
+    if (tx_stall_) CountSpan(credit_stall_cycles, tx_from_, total);
     tx_stall_ = false;
     tx_from_ = total;
   }
@@ -366,13 +265,11 @@ struct KernelProbe {
   std::string name;
   std::uint64_t resumes = 0;
   std::uint64_t done_cycle_p1 = 0;  ///< (cycle the kernel finished) + 1; 0 = ran to end
-  Journal journal;
   bool trace = false;
   std::vector<std::pair<Cycle, Cycle>> intervals;  ///< [start, end) active spans
 
   void OnResume(Cycle now) {
-    ++resumes;
-    journal.Add(&resumes, now, 1);
+    CountAt(resumes, now);
     if (!trace) return;
     if (open_ && now == open_end_) {
       ++open_end_;
@@ -383,10 +280,7 @@ struct KernelProbe {
       open_end_ = now + 1;
     }
   }
-  void OnDone(Cycle now) {
-    journal.Restore(&done_cycle_p1, now, done_cycle_p1);
-    done_cycle_p1 = now + 1;
-  }
+  void OnDone(Cycle now) { SetAt(done_cycle_p1, now, now + 1); }
   void Finalize(Cycle /*total*/) {
     if (open_) {
       intervals.emplace_back(open_start_, open_end_);

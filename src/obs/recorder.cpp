@@ -33,38 +33,9 @@ KernelProbe* Recorder::AddKernel(const std::string& name) {
   return &k;
 }
 
-void Recorder::SetJournaling(bool on) {
-  for (auto& f : fifos_) f.journal.set_active(on);
-  for (auto& c : cks_) c.journal.set_active(on);
-  for (auto& l : links_) {
-    l.rx_journal.set_active(on);
-    l.tx_journal.set_active(on);
-  }
-  for (auto& k : kernels_) k.journal.set_active(on);
-}
-
-void Recorder::ClearJournals() {
-  for (auto& f : fifos_) f.journal.Clear();
-  for (auto& c : cks_) c.journal.Clear();
-  for (auto& l : links_) {
-    l.rx_journal.Clear();
-    l.tx_journal.Clear();
-  }
-  for (auto& k : kernels_) k.journal.Clear();
-}
-
 void Recorder::TrimAtOrAfter(Cycle cycle) {
-  for (auto& f : fifos_) f.journal.TrimAtOrAfter(cycle);
-  for (auto& c : cks_) c.journal.TrimAtOrAfter(cycle);
-  for (auto& l : links_) {
-    l.rx_journal.TrimAtOrAfter(cycle);
-    l.tx_journal.TrimAtOrAfter(cycle);
-    l.TrimTraceAtOrAfter(cycle);
-  }
-  for (auto& k : kernels_) {
-    k.journal.TrimAtOrAfter(cycle);
-    k.TrimTraceAtOrAfter(cycle);
-  }
+  for (auto& l : links_) l.TrimTraceAtOrAfter(cycle);
+  for (auto& k : kernels_) k.TrimTraceAtOrAfter(cycle);
 }
 
 void Recorder::Finalize(Cycle total_cycles) {
@@ -105,12 +76,10 @@ json::Value Recorder::CountersJson() const {
     row["hits"] = json::Value(c.hits);
     row["bursts"] = json::Value(c.bursts);
     row["stalls"] = json::Value(c.stalls);
-    if (c.handler_combined != 0 || c.handler_splits != 0 ||
-        c.handler_filtered != 0) {
+    if (c.handler_combined != 0 || c.handler_splits != 0) {
       json::Object h;
       h["combined"] = json::Value(c.handler_combined);
       h["splits"] = json::Value(c.handler_splits);
-      h["filtered"] = json::Value(c.handler_filtered);
       row["handler"] = json::Value(std::move(h));
     }
     cks.push_back(json::Value(std::move(row)));
@@ -123,12 +92,12 @@ json::Value Recorder::CountersJson() const {
     row["latency"] = json::Value(static_cast<std::int64_t>(l.latency));
     row["busy_cycles"] = json::Value(l.busy_cycles);
     row["credit_stall_cycles"] = json::Value(l.credit_stall_cycles);
-    row["retransmits"] = json::Value(l.retransmits);
-    row["timeouts"] = json::Value(l.timeouts);
-    row["wire_drops"] = json::Value(l.wire_drops);
-    row["wire_corruptions"] = json::Value(l.wire_corruptions);
-    row["checksum_failures"] = json::Value(l.checksum_failures);
-    row["seq_discards"] = json::Value(l.seq_discards);
+    for (const ReliabilityField& f : kReliabilityFields) {
+      if (!f.link_row) continue;
+      const std::uint64_t v =
+          l.reliability != nullptr ? l.reliability->*f.member : 0;
+      row[f.key] = json::Value(v);
+    }
     if (l.fidelity != nullptr) {
       const FidelityCounters& f = *l.fidelity;
       json::Object fid;
@@ -182,7 +151,7 @@ json::Value Recorder::SummaryJson() const {
   }
   std::uint64_t fwd[3] = {0, 0, 0};
   std::uint64_t polls = 0, hits = 0, ck_stalls = 0;
-  std::uint64_t combined = 0, splits = 0, filtered = 0;
+  std::uint64_t combined = 0, splits = 0;
   for (const auto& c : cks_) {
     for (int op = 0; op < 3; ++op) fwd[op] += c.forwarded_by_op[op];
     polls += c.polls;
@@ -190,15 +159,16 @@ json::Value Recorder::SummaryJson() const {
     ck_stalls += c.stalls;
     combined += c.handler_combined;
     splits += c.handler_splits;
-    filtered += c.handler_filtered;
   }
   std::uint64_t busy = 0, credit_stalls = 0;
   std::uint64_t retransmits = 0, checksum_failures = 0;
   for (const auto& l : links_) {
     busy += l.busy_cycles;
     credit_stalls += l.credit_stall_cycles;
-    retransmits += l.retransmits;
-    checksum_failures += l.checksum_failures;
+    if (l.reliability != nullptr) {
+      retransmits += l.reliability->retransmits;
+      checksum_failures += l.reliability->checksum_failures;
+    }
   }
   std::uint64_t active = 0;
   for (const auto& k : kernels_) active += k.resumes;
@@ -219,7 +189,6 @@ json::Value Recorder::SummaryJson() const {
   doc["ck_stalls"] = json::Value(ck_stalls);
   doc["ck_handler_combined"] = json::Value(combined);
   doc["ck_handler_splits"] = json::Value(splits);
-  doc["ck_handler_filtered"] = json::Value(filtered);
   doc["link_busy_cycles"] = json::Value(busy);
   doc["link_credit_stall_cycles"] = json::Value(credit_stalls);
   doc["link_retransmits"] = json::Value(retransmits);

@@ -35,11 +35,10 @@ class Recorder {
   LinkCounters* AddLink(const std::string& name, Cycle latency);
   KernelProbe* AddKernel(const std::string& name);
 
-  /// --- parallel-scheduler hooks (called between epochs, single-threaded) ---
-  void SetJournaling(bool on);
-  void ClearJournals();
-  /// Undo all journaled updates and drop trace events at cycles >= `cycle`
-  /// (the merged finish cycle; partitions overshoot it in the final epoch).
+  /// Drop trace-timeline events at cycles >= `cycle` (the merged finish
+  /// cycle; parallel partitions overshoot it in the final epoch). Counter
+  /// values are trimmed by the engine's partition journals, not here.
+  /// Single-threaded, after the final barrier.
   void TrimAtOrAfter(Cycle cycle);
 
   /// Attach an arbitrary JSON annotation (e.g. the MPI shim's collective

@@ -97,7 +97,6 @@ const char* HandlerKindName(HandlerKind kind) {
   switch (kind) {
     case HandlerKind::kReduceCombine: return "reduce_combine";
     case HandlerKind::kFanOut: return "fan_out";
-    case HandlerKind::kFilter: return "filter";
   }
   return "?";
 }
@@ -118,10 +117,6 @@ Resources Handler(HandlerKind kind, core::DataType type) {
     case HandlerKind::kFanOut:
       r.luts = 400;
       r.ffs = 520;
-      break;
-    case HandlerKind::kFilter:
-      r.luts = 150;
-      r.ffs = 180;
       break;
   }
   return r;

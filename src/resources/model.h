@@ -86,9 +86,8 @@ Resources CollectiveKernel(core::CollKind kind, core::CollAlgo algo);
 /// (transport/handler.h). Not in the paper; structural estimates:
 ///  * reduce-combine — a packet-wide match/hold buffer (M20Ks) plus an
 ///    elementwise fold pipeline (DSPs for the floating-point types);
-///  * fan-out — a replication queue and per-child re-addressing;
-///  * filter — a match counter and a drop gate.
-enum class HandlerKind : std::uint8_t { kReduceCombine, kFanOut, kFilter };
+///  * fan-out — a replication queue and per-child re-addressing.
+enum class HandlerKind : std::uint8_t { kReduceCombine, kFanOut };
 
 const char* HandlerKindName(HandlerKind kind);
 

@@ -25,6 +25,13 @@
 ///     component could act without any new FIFO activity (e.g. a link
 ///     pipeline slot maturing), or kNeverCycle if there is none.
 /// Extra wakeups are always safe; a missed wakeup breaks cycle accuracy.
+///
+/// Statistics a Step accumulates for readers after the run (delivered
+/// counts, protocol counters, telemetry) must be updated through the
+/// revocable-update helpers of sim/journal.h (`CountAt`, `CountSpan`,
+/// `SetAt`). The parallel scheduler runs partitions past the completion
+/// cycle inside its final epoch and trims those updates back itself; a
+/// component never tracks the overshoot.
 
 #include <string>
 #include <vector>
@@ -92,6 +99,9 @@ class Component {
 /// link's *credit slack*: the number of cycles for which the sender's stale
 /// credit view provably makes the same accept/stall decisions as the fused
 /// `Step` would; the engine never extends an epoch past the smallest slack.
+///
+/// Like any component, a cut link leaves the final-epoch overshoot to the
+/// engine (see above), whether it was split or stepped fused.
 class CutLink {
  public:
   virtual ~CutLink() = default;
@@ -115,12 +125,6 @@ class CutLink {
   /// `epoch_start`, so committed FIFO state may be inspected freely.
   virtual Cycle ExchangeAtBarrier(Cycle epoch_start) = 0;
 
-  /// Drop deliveries recorded at cycle >= `cycle` from the delivered
-  /// counter. The parallel scheduler lets partitions overshoot the global
-  /// completion cycle inside the final epoch; this trims the overshoot so
-  /// merged traffic statistics match the sequential schedulers exactly.
-  virtual void TrimDeliveriesAtOrAfter(Cycle cycle) = 0;
-
   /// Wake FIFOs of the two halves and the receiver half's timed self-wake
   /// (pipeline-head maturity), mirroring the fused component's contract.
   virtual const FifoBase* tx_wake_fifo() const = 0;
@@ -131,18 +135,6 @@ class CutLink {
   /// reacts to FIFO activity, hence the kNever default; a reliable link also
   /// wakes on acknowledgement maturity and retransmission timeouts.
   virtual Cycle NextTxSelfWake(Cycle /*now*/) const { return kNeverCycle; }
-
-  /// Bracket a parallel run. Called for *every* cut component (split or
-  /// not) when the parallel scheduler starts/finishes, so links that keep
-  /// trimmable per-cycle statistics (retransmit counters, death events) can
-  /// switch their undo logs on and off.
-  virtual void BeginParallelRun() {}
-  virtual void EndParallelRun() {}
-
-  /// Epoch boundary notification for cut components that were *not* split
-  /// (both endpoints landed in one partition). Split components piggyback on
-  /// ExchangeAtBarrier to age out their undo logs; unsplit ones get this.
-  virtual void OnUnsplitBarrier(Cycle /*epoch_start*/) {}
 };
 
 }  // namespace smi::sim

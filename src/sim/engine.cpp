@@ -408,7 +408,7 @@ void Engine::PreparePartition(Partition& p) {
   p.kernel_wakes.Reset(p.kernels.size(), now);
   p.due_components.clear();
   p.due_kernels.clear();
-  p.resume_log.clear();
+  p.journal.Clear();
   p.app_pending = 0;
   p.app_done_p1 = 0;
   p.error = nullptr;
@@ -444,7 +444,6 @@ void Engine::PreparePartition(Partition& p) {
 
 void Engine::PrepareWholePartition() {
   RefreshWholeClock();
-  whole_.log_resumes = false;
   whole_.components.resize(components_.size());
   for (std::size_t i = 0; i < components_.size(); ++i) {
     whole_.components[i] = i;
@@ -458,14 +457,6 @@ void Engine::PrepareWholePartition() {
   kernel_pos_ = whole_.kernels;
   fifo_recs_.assign(fifos_.size(), FifoRec{});
   PreparePartition(whole_);
-}
-
-void Engine::AppendResumeLog(Partition& p, Cycle cycle) {
-  if (!p.resume_log.empty() && p.resume_log.back().first == cycle) {
-    ++p.resume_log.back().second;
-  } else {
-    p.resume_log.emplace_back(cycle, 1);
-  }
 }
 
 bool Engine::StepCycleEvent(Partition& p) {
@@ -492,8 +483,7 @@ bool Engine::StepCycleEvent(Partition& p) {
       promise.blocker = nullptr;
       UnregisterWatch(index);
     }
-    ++p.resumes;
-    if (p.log_resumes) AppendResumeLog(p, now);
+    CountAt(p.resumes, now);
     if (slot.probe != nullptr) slot.probe->OnResume(now);
     progress = true;
     slot.kernel.Resume();
@@ -730,7 +720,6 @@ void Engine::PrepareParallelRun(unsigned workers) {
     p.index = static_cast<int>(i);
     p.clock = &p.clock_storage;
     p.clock_storage = now_;
-    p.log_resumes = true;
     p.last_progress_p1 = 0;
     p.resumes = 0;
   }
@@ -806,10 +795,6 @@ void Engine::PrepareParallelRun(unsigned workers) {
     fifos_[i]->AttachScheduler(this, &p.dirty, i);
   }
 
-  // All cut links — split or not — log trimmable per-cycle events during a
-  // parallel run so the final-epoch overshoot can be undone (see CutLink).
-  for (CutRec& cut : cuts_) cut.cut->BeginParallelRun();
-
   comp_pos_.assign(components_.size(), kNoPosition);
   kernel_pos_.assign(kernels_.size(), kNoPosition);
   for (const Partition& p : partitions_) {
@@ -822,20 +807,14 @@ void Engine::PrepareParallelRun(unsigned workers) {
   }
   fifo_recs_.assign(fifos_.size(), FifoRec{});
   for (Partition& p : partitions_) PreparePartition(p);
-
-  // Counter updates made inside epochs must be revocable: partitions
-  // overshoot the completion cycle in the final epoch (see the barrier loop).
-  if (recorder_ != nullptr) recorder_->SetJournaling(true);
 }
 
 void Engine::CleanupParallelRun() {
-  if (recorder_ != nullptr) recorder_->SetJournaling(false);
   for (CutRec& cut : cuts_) {
     if (!cut.split) continue;
     cut.cut->EndSplit();
     cut.split = false;
   }
-  for (CutRec& cut : cuts_) cut.cut->EndParallelRun();
   if (base_component_count_ != 0 &&
       components_.size() > base_component_count_) {
     components_.resize(base_component_count_);
@@ -859,6 +838,9 @@ void Engine::CleanupParallelRun() {
 }
 
 void Engine::RunPartitionEpoch(Partition& p) {
+  // Every revocable update this worker makes during the epoch (sim/journal.h)
+  // lands in the partition's journal; barrier-time work logs nothing.
+  const Journal::Scope journal(p.journal);
   while (*p.clock < p.epoch_end) {
     const Cycle cycle = *p.clock;
     if (StepCycleEvent(p)) p.last_progress_p1 = cycle + 1;
@@ -954,10 +936,7 @@ RunStats Engine::RunParallel() {
     // max-cycles guard.
     Cycle bound = std::min(kMaxEpochCycles, epoch_cap_external_);
     for (CutRec& cut : cuts_) {
-      if (!cut.split) {
-        cut.cut->OnUnsplitBarrier(barrier_cycle);
-        continue;
-      }
+      if (!cut.split) continue;
       const Cycle slack = cut.cut->ExchangeAtBarrier(barrier_cycle);
       const Cycle lookahead = std::max<Cycle>(cut.cut->link_latency(), 1);
       bound = std::min(bound, std::min(lookahead, slack));
@@ -970,12 +949,10 @@ RunStats Engine::RunParallel() {
     Cycle last_progress_p1 = 0;
     for (Partition& p : partitions_) {
       last_progress_p1 = std::max(last_progress_p1, p.last_progress_p1);
-      // Only the final epoch's resume log is ever needed for trimming.
-      p.resume_log.clear();
+      // Only the final epoch's journal is ever trimmed: the merged finish
+      // cycle always lies inside it, so earlier epochs' updates stand.
+      p.journal.Clear();
     }
-    // Same for the counter journals: the merged finish cycle always lies
-    // inside the final epoch, so earlier epochs' updates are safe to keep.
-    if (recorder_ != nullptr) recorder_->ClearJournals();
     const Cycle fire_at = last_progress_p1 + config_.watchdog_cycles;
     Cycle epoch_end = barrier_cycle + bound;
     epoch_end = std::min(epoch_end, fire_at);
@@ -1041,19 +1018,11 @@ RunStats Engine::RunParallel() {
         throw Error("engine exceeded max_cycles=" +
                     std::to_string(config_.max_cycles));
       }
-      // Partitions overshoot `finish_p1` inside the final epoch; trim the
-      // overshoot out of the merged counters so stats are bit-identical to
-      // the sequential schedulers.
-      for (Partition& p : partitions_) {
-        while (!p.resume_log.empty() &&
-               p.resume_log.back().first >= finish_p1) {
-          p.resumes -= p.resume_log.back().second;
-          p.resume_log.pop_back();
-        }
-      }
-      for (CutRec& cut : cuts_) {
-        cut.cut->TrimDeliveriesAtOrAfter(finish_p1);
-      }
+      // Partitions overshoot `finish_p1` inside the final epoch; undo every
+      // revocable update made at or after it (resumes, link deliveries and
+      // reliability counters, death cycles, telemetry) and the trace tail,
+      // so results are bit-identical to the sequential schedulers.
+      for (Partition& p : partitions_) p.journal.TrimAtOrAfter(finish_p1);
       if (recorder_ != nullptr) recorder_->TrimAtOrAfter(finish_p1);
       now_ = finish_p1;
       return FinishRun(static_cast<unsigned>(nparts));

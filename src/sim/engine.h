@@ -93,12 +93,18 @@
 ///    every accept/stall decision inside an epoch equals the sequential
 ///    one. Under sustained saturation the slack degenerates to one cycle —
 ///    per-cycle barriers, still exact, merely slower.
-///  * *Accounting.* Each partition records its last-progress cycle, its
-///    kernel-resume log and its local app-kernel completion cycle; barriers
-///    merge them so the deadlock watchdog, `max_cycles` guard and final
-///    cycle/resume/link-packet counts fire and read exactly as under the
-///    sequential schedulers (trailing intra-epoch activity after the
-///    completion cycle is trimmed from the merged counters).
+///  * *Accounting.* Each partition records its last-progress cycle and its
+///    local app-kernel completion cycle; barriers merge them so the deadlock
+///    watchdog and `max_cycles` guard fire exactly as under the sequential
+///    schedulers. Each partition also owns one undo log (`Journal`, see
+///    journal.h), installed on its worker for the length of an epoch: every
+///    revocable update — kernel resumes, link deliveries, reliability
+///    counters, a reliable link's death, telemetry counters — made by that
+///    worker is logged there. The engine alone clears the logs at every
+///    barrier and, once all app kernels are done, trims them at the merged
+///    completion cycle, so the final cycle/resume/link-packet counts read
+///    exactly as under the sequential schedulers. Split or not, a cut link
+///    needs no trim logic of its own.
 ///
 /// A differential test (tests/sim/engine_differential_test.cpp) runs all
 /// three schedulers over the same traffic patterns at several thread counts
@@ -123,6 +129,7 @@
 #include "sim/component.h"
 #include "sim/fidelity.h"
 #include "sim/fifo.h"
+#include "sim/journal.h"
 #include "sim/kernel.h"
 
 namespace smi::obs {
@@ -373,8 +380,9 @@ class Engine {
     // Accounting (merged at epoch barriers under the parallel scheduler).
     Cycle last_progress_p1 = 0;  ///< (cycle of last local progress) + 1
     std::uint64_t resumes = 0;
-    bool log_resumes = false;
-    std::vector<std::pair<Cycle, std::uint32_t>> resume_log;  ///< this epoch
+    /// Revocable updates of the current epoch (parallel partitions only;
+    /// see sim/journal.h). Cleared at every barrier, trimmed at the finish.
+    Journal journal;
     std::size_t app_pending = 0;
     Cycle app_done_p1 = 0;  ///< (cycle the last local app kernel finished)+1
 
@@ -440,7 +448,6 @@ class Engine {
   /// watchdog/max-cycles accounting when `accounted`.
   void JumpIdleCycles(Cycle target, bool accounted);
   RunStats FinishRun(unsigned partitions);
-  void AppendResumeLog(Partition& p, Cycle cycle);
   /// Run every pending global event with cycle <= now (see
   /// ScheduleGlobalEvent). Single-threaded: called from the sequential
   /// loops' cycle tops and from the parallel barrier.

@@ -72,6 +72,7 @@
 #include "sim/engine.h"
 #include "sim/fidelity.h"
 #include "sim/fifo.h"
+#include "sim/journal.h"
 
 namespace smi::sim {
 
@@ -127,7 +128,7 @@ class Link final : public Component, public CutLink, public FlowLinkControl {
     const bool delivers = head_ready && rx_->CanPush(now);
     if (delivers) {
       rx_->Push(FlightPop(), now);
-      ++delivered_;
+      CountAt(delivered_, now);
       if (obs_ != nullptr) obs_->OnDeliver(now);
     }
     // Accept at most one payload per cycle from the TX FIFO. The stall
@@ -231,7 +232,6 @@ class Link final : public Component, public CutLink, public FlowLinkControl {
     tx_outstanding_ = flight_count_;
     d0_cycle_ = kNeverCycle;
     staging_.clear();
-    delivery_log_.clear();
   }
 
   void EndSplit() override {
@@ -239,7 +239,6 @@ class Link final : public Component, public CutLink, public FlowLinkControl {
       FlightPush(std::move(slot.payload), slot.ready_at);
     }
     staging_.clear();
-    delivery_log_.clear();
   }
 
   void StepTx(Cycle now) override {
@@ -265,8 +264,7 @@ class Link final : public Component, public CutLink, public FlowLinkControl {
   void StepRx(Cycle now) override {
     if (flight_count_ > 0 && FrontReady() <= now && rx_->CanPush(now)) {
       rx_->Push(FlightPop(), now);
-      ++delivered_;
-      delivery_log_.push_back(now);
+      CountAt(delivered_, now);
       if (obs_ != nullptr) obs_->OnDeliver(now);
     }
   }
@@ -277,7 +275,6 @@ class Link final : public Component, public CutLink, public FlowLinkControl {
       FlightPush(std::move(slot.payload), slot.ready_at);
     }
     staging_.clear();
-    delivery_log_.clear();
     // ...and return all delivery credits to the sender: everything accepted
     // but not yet delivered is exactly what sits in the pending queue.
     tx_outstanding_ = flight_count_;
@@ -292,13 +289,6 @@ class Link final : public Component, public CutLink, public FlowLinkControl {
     const std::size_t cap = static_cast<std::size_t>(latency_) + 1;
     const std::size_t window = tx_outstanding_ - (d0 ? 1 : 0);
     return cap > window ? static_cast<Cycle>(cap - window) : Cycle{1};
-  }
-
-  void TrimDeliveriesAtOrAfter(Cycle cycle) override {
-    while (!delivery_log_.empty() && delivery_log_.back() >= cycle) {
-      delivery_log_.pop_back();
-      --delivered_;
-    }
   }
 
   const FifoBase* tx_wake_fifo() const override { return tx_; }
@@ -385,9 +375,9 @@ class Link final : public Component, public CutLink, public FlowLinkControl {
       space -= m;
       delivered_now += m;
     }
-    delivered_ += delivered_now;
-    if (obs_ != nullptr && delivered_now > 0) {
-      obs_->OnDeliverBulk(now, delivered_now);
+    if (delivered_now > 0) {
+      CountAt(delivered_, now, delivered_now);
+      if (obs_ != nullptr) obs_->OnDeliverBulk(now, delivered_now);
     }
     const bool rx_congested = flight_count_ > 0 && FrontReady() <= now;
 
@@ -650,7 +640,6 @@ class Link final : public Component, public CutLink, public FlowLinkControl {
 
   // Split-mode state (see CutLink methods).
   std::deque<Slot> staging_;
-  std::vector<Cycle> delivery_log_;
   std::size_t tx_outstanding_ = 0;
   Cycle d0_cycle_ = kNeverCycle;
 

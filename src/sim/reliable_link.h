@@ -50,6 +50,7 @@
 #include "sim/clock.h"
 #include "sim/component.h"
 #include "sim/fifo.h"
+#include "sim/journal.h"
 #include "sim/link_fault.h"
 
 namespace smi::sim {
@@ -65,22 +66,6 @@ struct ReliableLinkConfig {
 template <typename T>
 class ReliableLink final : public Component, public CutLink {
  public:
-  /// Counters surfaced in the fault report. Kept bit-identical across
-  /// schedulers via the per-side event logs (see TrimDeliveriesAtOrAfter).
-  struct Stats {
-    std::uint64_t frames_sent = 0;       ///< wire entries, new + retransmit
-    std::uint64_t retransmits = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t wire_drops = 0;        ///< frames lost to injected faults
-    std::uint64_t wire_corruptions = 0;  ///< frames corrupted by faults
-    std::uint64_t checksum_failures = 0; ///< corruptions caught at RX
-    std::uint64_t seq_discards = 0;      ///< duplicate/out-of-order frames
-    std::uint64_t acks_sent = 0;
-    std::uint64_t acks_dropped = 0;      ///< acks lost/corrupted by faults
-    std::uint64_t delivered = 0;
-    std::uint64_t recovered = 0;         ///< payloads handed back at failover
-  };
-
   ReliableLink(std::string name, Fifo<T>& tx, Fifo<T>& rx,
                ReliableLinkConfig config)
       : Component(std::move(name)),
@@ -102,7 +87,7 @@ class ReliableLink final : public Component, public CutLink {
   void Step(Cycle now) override {
     if (fully_dead_) return;
     StepRxImpl(now);
-    if (!dead_) StepTxImpl(now);
+    if (!dead()) StepTxImpl(now);
   }
 
   void DeclareWakeFifos(std::vector<const FifoBase*>& out) const override {
@@ -113,11 +98,13 @@ class ReliableLink final : public Component, public CutLink {
     return std::min(NextTxSelfWake(now), NextRxSelfWake(now));
   }
 
-  std::uint64_t delivered() const { return delivered_; }
+  std::uint64_t delivered() const { return stats_.delivered; }
   Cycle latency() const { return latency_; }
   std::size_t window() const { return window_; }
-  const Stats& stats() const { return stats_; }
-  bool dead() const { return dead_ || fully_dead_; }
+  /// Counters surfaced in the fault report. Every event is a revocable
+  /// update (sim/journal.h), so they read bit-identical across schedulers.
+  const obs::ReliabilityCounters& stats() const { return stats_; }
+  bool dead() const { return dead_cycle_ != kNeverCycle || fully_dead_; }
   Cycle dead_cycle() const { return dead_cycle_; }
 
   /// Failover support (called by the fabric from a global event, never from
@@ -152,6 +139,7 @@ class ReliableLink final : public Component, public CutLink {
 
   void AttachObservability(obs::Recorder& recorder) override {
     obs_ = recorder.AddLink(name(), latency_);
+    obs_->reliability = &stats_;
   }
 
   // --- CutLink implementation (parallel scheduler; see component.h) ------
@@ -173,7 +161,7 @@ class ReliableLink final : public Component, public CutLink {
   }
 
   void StepTx(Cycle now) override {
-    if (dead_ || fully_dead_) return;
+    if (dead()) return;
     StepTxImpl(now);
   }
   void StepRx(Cycle now) override {
@@ -186,37 +174,9 @@ class ReliableLink final : public Component, public CutLink {
     staging_fwd_.clear();
     for (AckSlot& a : staging_ack_) ack_wire_.push_back(a);
     staging_ack_.clear();
-    tx_log_.clear();
-    rx_log_.clear();
     // Both directions are latency-delayed and there is no instantaneous
     // credit channel, so any epoch no longer than the latency is exact.
     return latency_;
-  }
-
-  void BeginParallelRun() override {
-    logging_ = true;
-    tx_log_.clear();
-    rx_log_.clear();
-  }
-  void EndParallelRun() override {
-    logging_ = false;
-    tx_log_.clear();
-    rx_log_.clear();
-  }
-  void OnUnsplitBarrier(Cycle /*epoch_start*/) override {
-    tx_log_.clear();
-    rx_log_.clear();
-  }
-
-  void TrimDeliveriesAtOrAfter(Cycle cycle) override {
-    while (!tx_log_.empty() && tx_log_.back().cycle >= cycle) {
-      Undo(tx_log_.back().kind);
-      tx_log_.pop_back();
-    }
-    while (!rx_log_.empty() && rx_log_.back().cycle >= cycle) {
-      Undo(rx_log_.back().kind);
-      rx_log_.pop_back();
-    }
   }
 
   const FifoBase* tx_wake_fifo() const override { return tx_; }
@@ -244,7 +204,7 @@ class ReliableLink final : public Component, public CutLink {
   }
 
   Cycle NextTxSelfWake(Cycle now) const override {
-    if (dead_ || fully_dead_) return kNeverCycle;
+    if (dead()) return kNeverCycle;
     Cycle wake = kNeverCycle;
     if (!ack_wire_.empty()) {
       wake = std::min(wake, std::max(ack_wire_.front().ready_at, now + 1));
@@ -273,78 +233,23 @@ class ReliableLink final : public Component, public CutLink {
     Cycle ready_at;
   };
 
-  /// Cycle-stamped event log for the parallel scheduler's overshoot trim;
-  /// recording is enabled only between BeginParallelRun/EndParallelRun.
-  enum class Ev : std::uint8_t {
-    kFrameSent,
-    kRetransmit,
-    kTimeout,
-    kWireDrop,
-    kWireCorrupt,
-    kDeath,
-    kChecksumFail,
-    kSeqDiscard,
-    kAckSent,
-    kAckDropped,
-    kDeliver,
-  };
-  struct Event {
-    Cycle cycle;
-    Ev kind;
-  };
-
-  void LogTx(Cycle now, Ev kind) {
-    if (logging_) tx_log_.push_back(Event{now, kind});
-  }
-  void LogRx(Cycle now, Ev kind) {
-    if (logging_) rx_log_.push_back(Event{now, kind});
-  }
-
-  void Undo(Ev kind) {
-    switch (kind) {
-      case Ev::kFrameSent: --stats_.frames_sent; break;
-      case Ev::kRetransmit: --stats_.retransmits; break;
-      case Ev::kTimeout: --stats_.timeouts; break;
-      case Ev::kWireDrop: --stats_.wire_drops; break;
-      case Ev::kWireCorrupt: --stats_.wire_corruptions; break;
-      case Ev::kChecksumFail: --stats_.checksum_failures; break;
-      case Ev::kSeqDiscard: --stats_.seq_discards; break;
-      case Ev::kAckSent: --stats_.acks_sent; break;
-      case Ev::kAckDropped: --stats_.acks_dropped; break;
-      case Ev::kDeliver:
-        --stats_.delivered;
-        --delivered_;
-        break;
-      case Ev::kDeath:
-        dead_ = false;
-        dead_cycle_ = kNeverCycle;
-        break;
-    }
-  }
-
   void StepRxImpl(Cycle now) {
     // Deliver the head of the receive buffer into the RX FIFO.
     if (!rx_pending_.empty() && rx_->CanPush(now)) {
       rx_->Push(rx_pending_.front(), now);
       rx_pending_.pop_front();
-      ++delivered_;
-      ++stats_.delivered;
-      LogRx(now, Ev::kDeliver);
+      CountAt(stats_.delivered, now);
       if (obs_ != nullptr) obs_->OnDeliver(now);
     }
     // Examine at most one matured wire frame per cycle.
     if (fwd_wire_.empty() || fwd_wire_.front().ready_at > now) return;
     Frame& f = fwd_wire_.front();
     if (WireChecksum(f.payload) != f.checksum) {
-      ++stats_.checksum_failures;
-      LogRx(now, Ev::kChecksumFail);
-      if (obs_ != nullptr) obs_->OnChecksumFailure(now);
+      CountAt(stats_.checksum_failures, now);
       fwd_wire_.pop_front();
       SendAck(now);
     } else if (f.seq != expected_seq_) {
-      ++stats_.seq_discards;
-      LogRx(now, Ev::kSeqDiscard);
-      if (obs_ != nullptr) obs_->OnSeqDiscard(now);
+      CountAt(stats_.seq_discards, now);
       fwd_wire_.pop_front();
       SendAck(now);
     } else if (rx_pending_.size() < window_) {
@@ -384,9 +289,7 @@ class ReliableLink final : public Component, public CutLink {
                 now, /*retransmit=*/true);
       ++retx_next_seq_;
     } else if (!send_window_.empty() && now >= rto_deadline_) {
-      ++stats_.timeouts;
-      LogTx(now, Ev::kTimeout);
-      if (obs_ != nullptr) obs_->OnTimeout(now);
+      CountAt(stats_.timeouts, now);
       ++rounds_;
       if (retry_budget_ != 0 && rounds_ > retry_budget_) {
         Die(now);
@@ -415,45 +318,34 @@ class ReliableLink final : public Component, public CutLink {
   }
 
   void SendFrame(const Frame& f, Cycle now, bool retransmit) {
-    ++stats_.frames_sent;
-    LogTx(now, Ev::kFrameSent);
-    if (retransmit) {
-      ++stats_.retransmits;
-      LogTx(now, Ev::kRetransmit);
-      if (obs_ != nullptr) obs_->OnRetransmit(now);
-    }
+    CountAt(stats_.frames_sent, now);
+    if (retransmit) CountAt(stats_.retransmits, now);
     auto action = LinkFaultHook::Action::kNone;
     if (hook_ != nullptr) {
       action = hook_->OnWireEntry(now, LinkFaultHook::kForwardChannel);
     }
     if (action == LinkFaultHook::Action::kDrop) {
-      ++stats_.wire_drops;
-      LogTx(now, Ev::kWireDrop);
-      if (obs_ != nullptr) obs_->OnWireDrop(now);
+      CountAt(stats_.wire_drops, now);
       return;
     }
     Frame wire = f;
     wire.ready_at = now + latency_;
     if (action == LinkFaultHook::Action::kCorrupt) {
       CorruptInPlace(wire.payload, hook_->CorruptionPattern(now));
-      ++stats_.wire_corruptions;
-      LogTx(now, Ev::kWireCorrupt);
-      if (obs_ != nullptr) obs_->OnWireCorruption(now);
+      CountAt(stats_.wire_corruptions, now);
     }
     (split_ ? staging_fwd_ : fwd_wire_).push_back(std::move(wire));
   }
 
   void SendAck(Cycle now) {
-    ++stats_.acks_sent;
-    LogRx(now, Ev::kAckSent);
+    CountAt(stats_.acks_sent, now);
     auto action = LinkFaultHook::Action::kNone;
     if (hook_ != nullptr) {
       action = hook_->OnWireEntry(now, LinkFaultHook::kAckChannel);
     }
     if (action != LinkFaultHook::Action::kNone) {
       // A corrupted ack fails the sender's validity check; same as a drop.
-      ++stats_.acks_dropped;
-      LogRx(now, Ev::kAckDropped);
+      CountAt(stats_.acks_dropped, now);
       return;
     }
     (split_ ? staging_ack_ : ack_wire_)
@@ -461,9 +353,10 @@ class ReliableLink final : public Component, public CutLink {
   }
 
   void Die(Cycle now) {
-    dead_ = true;
-    dead_cycle_ = now;
-    LogTx(now, Ev::kDeath);
+    // Revocable like the counters: a death in the final epoch's overshoot
+    // is undone, and the failover event it scheduled then finds the link
+    // alive (Fabric::ExecuteFailover).
+    SetAt(dead_cycle_, now, now);
     if (sink_ != nullptr) sink_->OnLinkDead(link_id_, now);
   }
 
@@ -490,26 +383,21 @@ class ReliableLink final : public Component, public CutLink {
   std::uint64_t rounds_ = 0;            ///< consecutive fruitless timeouts
   std::uint64_t retx_next_seq_ = 0;     ///< replay cursor
   std::uint64_t retx_end_seq_ = 0;      ///< replay end (exclusive)
-  bool dead_ = false;
-  Cycle dead_cycle_ = kNeverCycle;
+  Cycle dead_cycle_ = kNeverCycle;      ///< retry budget ran out (sender)
 
   // Receiver half.
   std::deque<Frame> fwd_wire_;     ///< forward channel, latency-delayed
   std::deque<T> rx_pending_;       ///< accepted frames awaiting RX FIFO space
   std::uint64_t expected_seq_ = 0;
-  std::uint64_t delivered_ = 0;
 
   bool fully_dead_ = false;  ///< quiesced by failover; both halves frozen
 
-  // Split-mode staging (see CutLink) and parallel-overshoot event logs.
+  // Split-mode staging (see CutLink).
   bool split_ = false;
   std::deque<Frame> staging_fwd_;
   std::deque<AckSlot> staging_ack_;
-  bool logging_ = false;
-  std::vector<Event> tx_log_;
-  std::vector<Event> rx_log_;
 
-  Stats stats_;
+  obs::ReliabilityCounters stats_;
 };
 
 }  // namespace smi::sim

@@ -47,8 +47,6 @@ void Ckr::Step(sim::Cycle now) {
     if (to_cks_->CanPush(now)) {
       to_cks_->Push(fan_queue_.front(), now);
       const net::Packet& pkt = fan_queue_.front();
-      ++forwarded_;
-      ++handler_splits_;
       if (obs_ != nullptr) {
         obs_->OnForward(static_cast<int>(pkt.hdr.op), now);
         obs_->OnHandlerSplit(now);
@@ -66,7 +64,6 @@ void Ckr::Step(sim::Cycle now) {
   }
   const net::Packet pkt = in->Pop(now);
   out->Push(pkt, now);
-  ++forwarded_;
   if (obs_ != nullptr) obs_->OnForward(static_cast<int>(pkt.hdr.op), now);
   arbiter_.Serviced(now);
   // Scatter fan-out: a locally delivered packet matching a fan entry is

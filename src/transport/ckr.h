@@ -83,9 +83,6 @@ class Ckr final : public sim::Component {
                : sim::kNeverCycle;
   }
 
-  std::uint64_t forwarded() const { return forwarded_; }
-  /// Fan-out copies injected so far (handler side channel).
-  std::uint64_t handler_splits() const { return handler_splits_; }
   std::size_t fan_pending() const { return fan_queue_.size(); }
 
  private:
@@ -100,8 +97,6 @@ class Ckr final : public sim::Component {
   std::map<int, int> port_owner_;
   HandlerTable handlers_;
   std::deque<net::Packet> fan_queue_;  ///< replicated copies awaiting injection
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t handler_splits_ = 0;
   obs::CkCounters* obs_ = nullptr;
 };
 

@@ -1,7 +1,5 @@
 #include "transport/cks.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "obs/recorder.h"
 
@@ -54,7 +52,6 @@ bool Cks::FlushExpired(sim::Cycle now) {
     if (out->CanPush(now)) {
       out->Push(slot.pkt, now);
       slot.busy = false;
-      ++forwarded_;
       if (obs_ != nullptr) {
         obs_->OnForward(static_cast<int>(slot.pkt.hdr.op), now);
       }
@@ -74,7 +71,6 @@ void Cks::Step(sim::Cycle now) {
       const net::Packet pkt = recovery_.front();
       recovery_.pop_front();
       out->Push(pkt, now);
-      ++forwarded_;
       if (obs_ != nullptr) obs_->OnForward(static_cast<int>(pkt.hdr.op), now);
     }
     return;
@@ -87,45 +83,7 @@ void Cks::Step(sim::Cycle now) {
   if (in == nullptr) return;
   const net::Packet& front = in->Front(now);
 
-  // A filter pass is charged only when the packet is actually consumed — a
-  // stalled packet re-enters Step next cycle and must not advance the
-  // pass-every phase twice.
-  std::size_t pending_filter = handlers_.size();
-  const auto consume_filter = [&] {
-    if (pending_filter < handlers_.size()) {
-      ++filter_seen_[pending_filter];
-      ++filter_passed_;
-    }
-  };
-
-  // Packets arriving over the intra-rank crossbar were already filtered at
-  // the CKS where they entered the rank (see AddInput).
-  const bool from_crossbar =
-      std::find(xbar_inputs_.begin(), xbar_inputs_.end(), in) !=
-      xbar_inputs_.end();
-
   if (!handlers_.empty()) {
-    // Count/filter: drop-or-pass predicate with counted side channel.
-    const std::size_t n = handlers_.size();
-    for (std::size_t i = 0; !from_crossbar && i < n; ++i) {
-      const HandlerEntry& e = handlers_.entries()[i];
-      if (e.cls != HandlerClass::kFilter || e.port != front.hdr.port ||
-          e.op != front.hdr.op) {
-        continue;
-      }
-      const std::uint64_t seen = filter_seen_[i];
-      if (e.pass_every == 0 ||
-          seen % static_cast<std::uint64_t>(e.pass_every) != 0) {
-        in->Pop(now);
-        ++filter_seen_[i];
-        ++filter_dropped_;
-        if (obs_ != nullptr) obs_->OnHandlerFiltered(now);
-        arbiter_.Serviced(now);
-        return;
-      }
-      pending_filter = i;
-      break;  // at most one filter entry matches a (port, op)
-    }
     // Reduce-in-transit: only at the network egress of this rank (where
     // every stream toward the destination converges) and never on local
     // deliveries.
@@ -151,14 +109,12 @@ void Cks::Step(sim::Cycle now) {
         // Merge: fold the element region, sum the contribution counts; the
         // arriving packet is consumed and never forwarded.
         const net::Packet pkt = in->Pop(now);
-        consume_filter();
         combine->combine(slot.pkt, pkt);
         const std::uint32_t contribs =
             static_cast<std::uint32_t>(InnetEnvelope::Contribs(slot.pkt)) +
             InnetEnvelope::Contribs(pkt);
         InnetEnvelope::SetContribs(slot.pkt,
                                    static_cast<std::uint16_t>(contribs));
-        ++handler_combined_;
         if (obs_ != nullptr) obs_->OnHandlerCombine(now);
         arbiter_.Serviced(now);
         // A completed packet leaves immediately (the merged packet departs
@@ -169,7 +125,6 @@ void Cks::Step(sim::Cycle now) {
           if (!pushed && to_net_->CanPush(now)) {
             to_net_->Push(slot.pkt, now);
             slot.busy = false;
-            ++forwarded_;
             if (obs_ != nullptr) {
               obs_->OnForward(static_cast<int>(slot.pkt.hdr.op), now);
             }
@@ -182,7 +137,6 @@ void Cks::Step(sim::Cycle now) {
       if (free_slot != nullptr) {
         // Open a new flow: hold the packet for merge partners.
         free_slot->pkt = in->Pop(now);
-        consume_filter();
         free_slot->busy = true;
         free_slot->deadline = now + static_cast<sim::Cycle>(
                                         combine->hold_cycles);
@@ -199,9 +153,7 @@ void Cks::Step(sim::Cycle now) {
     return;
   }
   const net::Packet pkt = in->Pop(now);
-  consume_filter();
   out->Push(pkt, now);
-  ++forwarded_;
   if (obs_ != nullptr) obs_->OnForward(static_cast<int>(pkt.hdr.op), now);
   arbiter_.Serviced(now);
 }

@@ -18,7 +18,7 @@
 /// ## In-network handlers
 ///
 /// When a handler table is uploaded (see transport/handler.h), the CKS runs
-/// the filter and reduce-in-transit handlers on its forwarding path. The
+/// the reduce-in-transit handler on its forwarding path. The
 /// combine buffer holds up to kCombineSlots data packets at the network
 /// egress; a packet matching a buffered one (same destination, port and
 /// envelope base) is folded into it instead of forwarded, and a buffered
@@ -53,13 +53,7 @@ class Cks final : public sim::Component {
         arbiter_(poll_r) {}
 
   /// --- fabric wiring (called once at construction time) ---
-  /// `from_crossbar` marks inputs fed by a sibling CKS of the same rank:
-  /// packets arriving there already ran the rank's filter handler at the
-  /// CKS where they entered the rank, so the filter must not fire again.
-  void AddInput(PacketFifo& fifo, bool from_crossbar = false) {
-    arbiter_.AddInput(fifo);
-    if (from_crossbar) xbar_inputs_.push_back(&fifo);
-  }
+  void AddInput(PacketFifo& fifo) { arbiter_.AddInput(fifo); }
   void SetNetworkOutput(PacketFifo& fifo) { to_net_ = &fifo; }
   void SetPairedCkrOutput(PacketFifo& fifo) { to_ckr_ = &fifo; }
   /// Output toward the local CKS owning network port `q`.
@@ -78,12 +72,9 @@ class Cks final : public sim::Component {
   }
 
   /// Install the rank's in-network handler table (validated by the fabric).
-  /// Resets the per-entry filter phase; the combine buffer must be empty
-  /// (tables are uploaded before traffic flows).
-  void UploadHandlers(HandlerTable table) {
-    handlers_ = std::move(table);
-    filter_seen_.assign(handlers_.size(), 0);
-  }
+  /// The combine buffer must be empty (tables are uploaded before traffic
+  /// flows).
+  void UploadHandlers(HandlerTable table) { handlers_ = std::move(table); }
 
   /// Re-queue packets stranded by a link failover (see transport/fabric.h).
   /// They take strict priority over arbitered input — one per cycle, routed
@@ -124,12 +115,6 @@ class Cks final : public sim::Component {
     return wake;
   }
 
-  std::uint64_t forwarded() const { return forwarded_; }
-  /// Handler side channels: packets merged away by reduce-in-transit,
-  /// packets dropped / passed by the filter handler.
-  std::uint64_t handler_combined() const { return handler_combined_; }
-  std::uint64_t filter_dropped() const { return filter_dropped_; }
-  std::uint64_t filter_passed() const { return filter_passed_; }
   /// Packets currently held in the combine buffer.
   std::size_t combine_held() const {
     std::size_t held = 0;
@@ -160,16 +145,10 @@ class Cks final : public sim::Component {
   PacketFifo* to_net_ = nullptr;
   PacketFifo* to_ckr_ = nullptr;
   std::vector<PacketFifo*> to_cks_;
-  std::vector<const PacketFifo*> xbar_inputs_;  ///< see AddInput
   std::vector<int> next_port_;
   std::deque<net::Packet> recovery_;  ///< failover re-queue (see above)
   HandlerTable handlers_;
   CombineSlot combine_[kCombineSlots];
-  std::vector<std::uint64_t> filter_seen_;  ///< per-entry match phase
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t handler_combined_ = 0;
-  std::uint64_t filter_dropped_ = 0;
-  std::uint64_t filter_passed_ = 0;
   obs::CkCounters* obs_ = nullptr;
 };
 

@@ -188,8 +188,7 @@ void Fabric::BuildRank(sim::Engine& engine, int r, const RankEndpoints& eps,
       PacketFifo& cks_x = engine.MakeFifo<net::Packet>(
           FifoName("cks->cks", r, q, o), config_.crossbar_fifo_depth);
       rank.cks[static_cast<std::size_t>(q)]->SetCksOutput(o, cks_x);
-      rank.cks[static_cast<std::size_t>(o)]->AddInput(cks_x,
-                                                      /*from_crossbar=*/true);
+      rank.cks[static_cast<std::size_t>(o)]->AddInput(cks_x);
 
       PacketFifo& ckr_x = engine.MakeFifo<net::Packet>(
           FifoName("ckr->ckr", r, q, o), config_.crossbar_fifo_depth);
@@ -496,37 +495,19 @@ json::Value Fabric::FaultsJson() const {
   o["enabled"] = true;
   o["seed"] = config_.fault.seed;
   json::Array links;
-  sim::ReliableLink<net::Packet>::Stats totals;
+  obs::ReliabilityCounters totals;
   for (const LinkRec& rec : link_recs_) {
     if (rec.rlink == nullptr) continue;
-    const auto& s = rec.rlink->stats();
+    const obs::ReliabilityCounters& s = rec.rlink->stats();
     json::Object row;
     row["link"] = fault::DirectedKey(rec.from.rank, rec.from.port,
                                      rec.to.rank, rec.to.port);
     row["dead"] = rec.rlink->dead();
-    row["frames_sent"] = s.frames_sent;
-    row["retransmits"] = s.retransmits;
-    row["timeouts"] = s.timeouts;
-    row["wire_drops"] = s.wire_drops;
-    row["wire_corruptions"] = s.wire_corruptions;
-    row["checksum_failures"] = s.checksum_failures;
-    row["seq_discards"] = s.seq_discards;
-    row["acks_sent"] = s.acks_sent;
-    row["acks_dropped"] = s.acks_dropped;
-    row["delivered"] = s.delivered;
-    row["recovered"] = s.recovered;
+    for (const obs::ReliabilityField& f : obs::kReliabilityFields) {
+      row[f.key] = s.*f.member;
+      totals.*f.member += s.*f.member;
+    }
     links.push_back(std::move(row));
-    totals.frames_sent += s.frames_sent;
-    totals.retransmits += s.retransmits;
-    totals.timeouts += s.timeouts;
-    totals.wire_drops += s.wire_drops;
-    totals.wire_corruptions += s.wire_corruptions;
-    totals.checksum_failures += s.checksum_failures;
-    totals.seq_discards += s.seq_discards;
-    totals.acks_sent += s.acks_sent;
-    totals.acks_dropped += s.acks_dropped;
-    totals.delivered += s.delivered;
-    totals.recovered += s.recovered;
   }
   o["links"] = std::move(links);
   json::Array fos;
@@ -540,17 +521,9 @@ json::Value Fabric::FaultsJson() const {
   }
   o["failovers"] = std::move(fos);
   json::Object tot;
-  tot["frames_sent"] = totals.frames_sent;
-  tot["retransmits"] = totals.retransmits;
-  tot["timeouts"] = totals.timeouts;
-  tot["wire_drops"] = totals.wire_drops;
-  tot["wire_corruptions"] = totals.wire_corruptions;
-  tot["checksum_failures"] = totals.checksum_failures;
-  tot["seq_discards"] = totals.seq_discards;
-  tot["acks_sent"] = totals.acks_sent;
-  tot["acks_dropped"] = totals.acks_dropped;
-  tot["delivered"] = totals.delivered;
-  tot["recovered"] = totals.recovered;
+  for (const obs::ReliabilityField& f : obs::kReliabilityFields) {
+    tot[f.key] = totals.*f.member;
+  }
   o["totals"] = std::move(tot);
   return o;
 }

@@ -10,7 +10,6 @@ const char* HandlerClassName(HandlerClass cls) {
   switch (cls) {
     case HandlerClass::kReduceCombine: return "reduce-combine";
     case HandlerClass::kFanOut: return "fan-out";
-    case HandlerClass::kFilter: return "filter";
   }
   return "?";
 }
@@ -41,11 +40,6 @@ void HandlerTable::Validate(int num_ranks) const {
             throw ConfigError(where + ": fan child rank " +
                               std::to_string(d) + " out of range");
           }
-        }
-        break;
-      case HandlerClass::kFilter:
-        if (e.pass_every < 0) {
-          throw ConfigError(where + ": negative pass_every");
         }
         break;
     }

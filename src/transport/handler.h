@@ -8,7 +8,7 @@
 /// `HandlerTable` is uploaded alongside the routing tables; CKS and CKR
 /// consult it during forwarding, keyed by (application port, wire op).
 ///
-/// Three handler classes exist:
+/// Two handler classes exist:
 ///
 ///  * **Reduce-in-transit** (`kReduceCombine`, CKS side): data packets of an
 ///    in-network reduction carry an *envelope* payload (InnetEnvelope below)
@@ -28,14 +28,12 @@
 ///    latency and one packet per tree edge instead of the root serializing
 ///    n-1 packets. Used by the in-network reduce for its credit grants, and
 ///    available standalone.
-///  * **Count/filter** (`kFilter`, CKS side): a drop-or-pass predicate
-///    (forward one of every `pass_every` matching packets) with pass/drop
-///    side-channel counts for observability.
 ///
 /// Determinism: every handler decision is a pure function of the packet
 /// stream and the cycle counter (hold deadlines are assigned at pop time,
 /// flush order is slot order), so the three schedulers stay bit-identical;
-/// the activity counters are journaled like every other obs counter.
+/// the activity counters are revocable updates like every other obs counter
+/// (sim/journal.h).
 /// Fault composition: retransmitted frames are deduplicated below the CK
 /// layer (reliable-link RX sequence numbers), and failover-recovered packets
 /// bypass the handlers entirely — forwarding a recovered packet unmodified
@@ -53,7 +51,6 @@ namespace smi::transport {
 enum class HandlerClass : std::uint8_t {
   kReduceCombine,  ///< fold same-(dst, port, base) data packets at the hop
   kFanOut,         ///< replicate locally-delivered packets to children
-  kFilter,         ///< drop-or-pass predicate with counted side channel
 };
 
 const char* HandlerClassName(HandlerClass cls);
@@ -109,7 +106,7 @@ struct InnetEnvelope {
 /// One handler attachment. Which fields apply depends on `cls`; Validate()
 /// rejects inconsistent entries before upload.
 struct HandlerEntry {
-  HandlerClass cls = HandlerClass::kFilter;
+  HandlerClass cls = HandlerClass::kReduceCombine;
   int port = 0;                         ///< application port the handler keys on
   net::OpType op = net::OpType::kData;  ///< wire op the handler intercepts
 
@@ -127,10 +124,6 @@ struct HandlerEntry {
 
   /// kFanOut: global ranks that receive a replicated copy.
   std::vector<int> fan_dsts;
-
-  /// kFilter: forward one of every `pass_every` matching packets
-  /// (1 = pass all; 0 = drop all).
-  int pass_every = 1;
 };
 
 /// The per-rank handler table. Uploaded whole to every CKS and CKR of the
@@ -143,7 +136,6 @@ class HandlerTable {
 
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
-  const std::vector<HandlerEntry>& entries() const { return entries_; }
 
   /// First entry of `cls` matching (port, op); nullptr when none.
   const HandlerEntry* Find(HandlerClass cls, int port, net::OpType op) const {
@@ -155,8 +147,8 @@ class HandlerTable {
 
   /// Throws ConfigError on an inconsistent entry: a combine entry without a
   /// combine function or with a non-positive hold window, a fan entry with
-  /// an out-of-range child rank or no children at all, a negative filter
-  /// rate, or any negative port.
+  /// an out-of-range child rank or no children at all, or any negative
+  /// port.
   void Validate(int num_ranks) const;
 
  private:

@@ -5,98 +5,6 @@
 namespace smi::obs {
 namespace {
 
-// --- Journal -------------------------------------------------------------
-
-TEST(Journal, InactiveLogsNothing) {
-  Journal j;
-  std::uint64_t counter = 5;
-  j.Add(&counter, 10, 1);
-  j.Span(&counter, 0, 10);
-  j.Restore(&counter, 10, 0);
-  j.TrimAtOrAfter(0);  // nothing logged, so nothing undone
-  EXPECT_EQ(counter, 5u);
-}
-
-TEST(Journal, TrimUndoesAddsAtOrAfterCycle) {
-  Journal j;
-  j.set_active(true);
-  std::uint64_t counter = 0;
-  for (Cycle c = 0; c < 10; ++c) {
-    ++counter;
-    j.Add(&counter, c, 1);
-  }
-  j.TrimAtOrAfter(7);  // cycles 7, 8, 9 undone
-  EXPECT_EQ(counter, 7u);
-}
-
-TEST(Journal, TrimClipsSpansAtCycle) {
-  Journal j;
-  j.set_active(true);
-  std::uint64_t counter = 0;
-  counter += 10;
-  j.Span(&counter, 0, 10);  // [0, 10)
-  counter += 5;
-  j.Span(&counter, 12, 17);  // [12, 17)
-  j.TrimAtOrAfter(14);
-  // First span untouched (ends at 10 <= 14); second loses [14, 17).
-  EXPECT_EQ(counter, 12u);
-
-  std::uint64_t whole = 8;
-  j.set_active(true);
-  whole += 4;
-  j.Span(&whole, 20, 24);
-  j.TrimAtOrAfter(20);  // entire span at or after the cut
-  EXPECT_EQ(whole, 8u);
-}
-
-TEST(Journal, TrimRestoresOldestSurvivingValue) {
-  // Two successive overwrites past the cut must restore the value from
-  // before the *first* of them — newest-first replay guarantees it.
-  Journal j;
-  j.set_active(true);
-  std::uint64_t watermark = 3;
-  j.Restore(&watermark, 5, watermark);
-  watermark = 7;
-  j.Restore(&watermark, 6, watermark);
-  watermark = 9;
-  j.TrimAtOrAfter(5);
-  EXPECT_EQ(watermark, 3u);
-}
-
-TEST(Journal, TrimBeforeEverythingUndoesAll) {
-  Journal j;
-  j.set_active(true);
-  std::uint64_t counter = 0;
-  ++counter;
-  j.Add(&counter, 0, 1);
-  counter += 6;
-  j.Span(&counter, 1, 7);
-  j.TrimAtOrAfter(0);
-  EXPECT_EQ(counter, 0u);
-}
-
-TEST(Journal, DeactivatingClearsEntries) {
-  Journal j;
-  j.set_active(true);
-  std::uint64_t counter = 1;
-  j.Add(&counter, 3, 1);
-  j.set_active(false);  // drops the log
-  j.set_active(true);
-  j.TrimAtOrAfter(0);
-  EXPECT_EQ(counter, 1u);  // the pre-deactivation entry is gone
-}
-
-TEST(Journal, TrimDropsTheLog) {
-  Journal j;
-  j.set_active(true);
-  std::uint64_t counter = 1;
-  j.Add(&counter, 3, 1);
-  j.TrimAtOrAfter(10);  // cycle 3 < 10: update survives...
-  EXPECT_EQ(counter, 1u);
-  j.TrimAtOrAfter(0);  // ...and the log is empty, so nothing to undo now
-  EXPECT_EQ(counter, 1u);
-}
-
 // --- FifoCounters --------------------------------------------------------
 
 TEST(FifoCounters, SpansAccountCommittedState) {
@@ -141,13 +49,16 @@ TEST(FifoCounters, JournaledUpdatesTrimLikeSynchronousStop) {
   reference.Finalize(8);
 
   FifoCounters overshoot;
-  overshoot.journal.set_active(true);
-  overshoot.OnPush(4);
-  overshoot.OnCommit(4, 1, 1);
-  overshoot.OnPop(9);  // past the merged finish cycle
-  overshoot.OnCommit(9, 0, 1);
-  overshoot.Finalize(12);
-  overshoot.journal.TrimAtOrAfter(8);
+  sim::Journal journal;
+  {
+    const sim::Journal::Scope scope(journal);
+    overshoot.OnPush(4);
+    overshoot.OnCommit(4, 1, 1);
+    overshoot.OnPop(9);  // past the merged finish cycle
+    overshoot.OnCommit(9, 0, 1);
+    overshoot.Finalize(12);
+  }
+  journal.TrimAtOrAfter(8);
   EXPECT_EQ(overshoot.pushes, reference.pushes);
   EXPECT_EQ(overshoot.pops, reference.pops);
   EXPECT_EQ(overshoot.full_stall_cycles, reference.full_stall_cycles);
@@ -259,10 +170,13 @@ TEST(KernelProbe, TrimDropsFullyOvershotOpenInterval) {
 
 TEST(KernelProbe, DoneCycleRestoresOnTrim) {
   KernelProbe k;
-  k.journal.set_active(true);
-  k.OnDone(14);  // finished at cycle 14 (stored as 15)
+  sim::Journal journal;
+  {
+    const sim::Journal::Scope scope(journal);
+    k.OnDone(14);  // finished at cycle 14 (stored as 15)
+  }
   EXPECT_EQ(k.done_cycle_p1, 15u);
-  k.journal.TrimAtOrAfter(10);  // the finish was in the overshot region
+  journal.TrimAtOrAfter(10);  // the finish was in the overshot region
   EXPECT_EQ(k.done_cycle_p1, 0u);
 }
 

@@ -101,22 +101,27 @@ TEST(Recorder, SummaryAggregatesAcrossEntities) {
 }
 
 TEST(Recorder, TrimAtOrAfterUndoesOvershoot) {
-  // The parallel scheduler's final barrier: updates journaled past the
-  // merged finish cycle are undone across every entity class at once.
+  // The parallel scheduler's final barrier: updates a partition journaled
+  // past the merged finish cycle are undone across every entity class at
+  // once, and the recorder drops the trace tail.
   Recorder rec(true, true);
   FifoCounters* f = rec.AddFifo("f");
   CkCounters* ck = rec.AddCk("ck");
   LinkCounters* link = rec.AddLink("l", 1);
   KernelProbe* k = rec.AddKernel("k");
-  rec.SetJournaling(true);
-  f->OnPush(5);
-  f->OnPush(12);  // overshoot
-  ck->OnHit(4);
-  ck->OnHit(11);  // overshoot
-  link->OnDeliver(6);
-  link->OnDeliver(13);  // overshoot
-  k->OnResume(7);
-  k->OnResume(14);  // overshoot
+  sim::Journal journal;
+  {
+    const sim::Journal::Scope scope(journal);
+    f->OnPush(5);
+    f->OnPush(12);  // overshoot
+    ck->OnHit(4);
+    ck->OnHit(11);  // overshoot
+    link->OnDeliver(6);
+    link->OnDeliver(13);  // overshoot
+    k->OnResume(7);
+    k->OnResume(14);  // overshoot
+  }
+  journal.TrimAtOrAfter(10);
   rec.TrimAtOrAfter(10);
   EXPECT_EQ(f->pushes, 1u);
   EXPECT_EQ(ck->hits, 1u);
@@ -124,6 +129,34 @@ TEST(Recorder, TrimAtOrAfterUndoesOvershoot) {
   EXPECT_EQ(k->resumes, 1u);
   ASSERT_EQ(link->deliveries.size(), 1u);
   EXPECT_EQ(link->deliveries[0], 6u);
+}
+
+TEST(Recorder, LinkRowsExportReliabilityCounters) {
+  // A reliable link exposes its own counters; a lossless link has none and
+  // exports the same keys as zeros.
+  Recorder rec(true, false);
+  ReliabilityCounters stats;
+  stats.retransmits = 3;
+  stats.checksum_failures = 2;
+  stats.frames_sent = 9;  // fault report only, not a link-row key
+  rec.AddLink("reliable", 1)->reliability = &stats;
+  rec.AddLink("lossless", 1);
+  rec.Finalize(4);
+  const json::Value doc = rec.CountersJson();
+  const json::Value& reliable = doc.at("links").as_array().at(0);
+  EXPECT_EQ(reliable.at("retransmits").as_int(), 3);
+  EXPECT_EQ(reliable.at("checksum_failures").as_int(), 2);
+  EXPECT_EQ(reliable.at("timeouts").as_int(), 0);
+  EXPECT_FALSE(reliable.contains("frames_sent"));
+  const json::Value& lossless = doc.at("links").as_array().at(1);
+  for (const ReliabilityField& f : kReliabilityFields) {
+    if (f.link_row) {
+      EXPECT_EQ(lossless.at(f.key).as_int(), 0) << f.key;
+    }
+  }
+  const json::Value summary = rec.SummaryJson();
+  EXPECT_EQ(summary.at("link_retransmits").as_int(), 3);
+  EXPECT_EQ(summary.at("link_checksum_failures").as_int(), 2);
 }
 
 TEST(Recorder, TraceDocumentIsChromeShaped) {

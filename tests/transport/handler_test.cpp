@@ -1,7 +1,7 @@
 /// \file handler_test.cpp
 /// Unit and behavioral tests for the in-network packet handlers
-/// (transport/handler.h): table lookup and validation, the count/filter
-/// predicate at the CKS, and locally-delivered-packet fan-out at the CKR.
+/// (transport/handler.h): table lookup and validation, and
+/// locally-delivered-packet fan-out at the CKR.
 /// The reduce-combine handler is exercised end to end by the in-network
 /// Reduce tests (tests/core/innet_test.cpp).
 
@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
+#include "obs/recorder.h"
 #include "transport/fabric.h"
 
 namespace smi::transport {
@@ -35,11 +37,12 @@ void NoopCombine(Packet&, const Packet&) {}
 
 TEST(HandlerTable, FindMatchesClassPortAndOp) {
   HandlerTable table;
-  HandlerEntry filter;
-  filter.cls = HandlerClass::kFilter;
-  filter.port = 2;
-  filter.op = OpType::kData;
-  table.Add(filter);
+  HandlerEntry combine;
+  combine.cls = HandlerClass::kReduceCombine;
+  combine.port = 2;
+  combine.op = OpType::kData;
+  combine.combine = NoopCombine;
+  table.Add(combine);
   HandlerEntry fan;
   fan.cls = HandlerClass::kFanOut;
   fan.port = 2;
@@ -48,12 +51,14 @@ TEST(HandlerTable, FindMatchesClassPortAndOp) {
   table.Add(fan);
 
   EXPECT_EQ(table.size(), 2u);
-  EXPECT_NE(table.Find(HandlerClass::kFilter, 2, OpType::kData), nullptr);
-  EXPECT_EQ(table.Find(HandlerClass::kFilter, 2, OpType::kCredit), nullptr);
-  EXPECT_EQ(table.Find(HandlerClass::kFilter, 3, OpType::kData), nullptr);
-  EXPECT_NE(table.Find(HandlerClass::kFanOut, 2, OpType::kCredit), nullptr);
-  EXPECT_EQ(table.Find(HandlerClass::kReduceCombine, 2, OpType::kData),
+  EXPECT_NE(table.Find(HandlerClass::kReduceCombine, 2, OpType::kData),
             nullptr);
+  EXPECT_EQ(table.Find(HandlerClass::kReduceCombine, 2, OpType::kCredit),
+            nullptr);
+  EXPECT_EQ(table.Find(HandlerClass::kReduceCombine, 3, OpType::kData),
+            nullptr);
+  EXPECT_NE(table.Find(HandlerClass::kFanOut, 2, OpType::kCredit), nullptr);
+  EXPECT_EQ(table.Find(HandlerClass::kFanOut, 2, OpType::kData), nullptr);
 }
 
 TEST(HandlerTable, ValidateRejectsInconsistentEntries) {
@@ -86,17 +91,10 @@ TEST(HandlerTable, ValidateRejectsInconsistentEntries) {
   EXPECT_THROW(tableWith(fan).Validate(4), ConfigError);
   fan.fan_dsts = {1, 3};
   EXPECT_NO_THROW(tableWith(fan).Validate(4));
-
-  HandlerEntry filter;
-  filter.cls = HandlerClass::kFilter;
-  filter.pass_every = -2;
-  EXPECT_THROW(tableWith(filter).Validate(4), ConfigError);
-  filter.pass_every = 0;  // drop-all is a valid predicate
-  EXPECT_NO_THROW(tableWith(filter).Validate(4));
 }
 
 // ---------------------------------------------------------------------------
-// Behavioral: filter at the CKS, fan-out at the CKR.
+// Behavioral: fan-out at the CKR.
 
 Packet MakePacket(int src, int dst, int port, std::uint32_t seq) {
   Packet p;
@@ -126,14 +124,6 @@ Kernel RecvPackets(PacketFifo& in, int n, std::vector<std::uint32_t>& sink) {
   }
 }
 
-/// Keeps the run alive (bounded) until the CKS filter has dropped `n`
-/// packets — for scenarios where nothing ever reaches a receiver.
-Kernel TickWhileDroppedBelow(const Cks& cks, std::uint64_t n) {
-  for (int i = 0; i < 2000 && cks.filter_dropped() < n; ++i) {
-    co_await sim::WaitCycles{1};
-  }
-}
-
 Fabric MakeSimpleFabric(Engine& engine, const Topology& topo, int port) {
   RankEndpoints eps;
   eps.send_ports.push_back(port);
@@ -145,50 +135,23 @@ Fabric MakeSimpleFabric(Engine& engine, const Topology& topo, int port) {
   return fabric;
 }
 
-TEST(HandlerFilter, PassEveryTwoForwardsAlternatePackets) {
-  Engine engine;
-  const Topology topo = Topology::Bus(2);
-  Fabric fabric = MakeSimpleFabric(engine, topo, 0);
-  std::vector<HandlerTable> tables(2);
-  HandlerEntry filter;
-  filter.cls = HandlerClass::kFilter;
-  filter.port = 0;
-  filter.op = OpType::kData;
-  filter.pass_every = 2;
-  tables[0].Add(filter);
-  fabric.UploadHandlers(tables);
-
-  std::vector<std::uint32_t> sink;
-  engine.AddKernel(SendPackets(fabric.SendEndpoint(0, 0), 0, 1, 0, 40), "s");
-  engine.AddKernel(RecvPackets(fabric.RecvEndpoint(1, 0), 20, sink), "r");
-  engine.Run();
-  ASSERT_EQ(sink.size(), 20u);
-  for (std::uint32_t i = 0; i < 20; ++i) EXPECT_EQ(sink[i], 2 * i);
-  EXPECT_EQ(fabric.cks(0, 0).filter_passed(), 20u);
-  EXPECT_EQ(fabric.cks(0, 0).filter_dropped(), 20u);
+/// Fan-out copies `ckr` injected, read from its telemetry counters.
+std::uint64_t HandlerSplits(const Engine& engine, const Ckr& ckr) {
+  const json::Value doc = engine.recorder()->CountersJson();
+  for (const json::Value& row : doc.at("cks").as_array()) {
+    if (row.at("name").as_string() != ckr.name()) continue;
+    if (!row.contains("handler")) return 0;
+    return static_cast<std::uint64_t>(
+        row.at("handler").at("splits").as_int());
+  }
+  ADD_FAILURE() << "no counters for " << ckr.name();
+  return 0;
 }
 
-TEST(HandlerFilter, PassEveryZeroDropsEverything) {
-  Engine engine;
-  const Topology topo = Topology::Bus(2);
-  Fabric fabric = MakeSimpleFabric(engine, topo, 0);
-  std::vector<HandlerTable> tables(2);
-  HandlerEntry filter;
-  filter.cls = HandlerClass::kFilter;
-  filter.port = 0;
-  filter.op = OpType::kData;
-  filter.pass_every = 0;
-  tables[0].Add(filter);
-  fabric.UploadHandlers(tables);
-
-  engine.AddKernel(SendPackets(fabric.SendEndpoint(0, 0), 0, 1, 0, 25), "s");
-  // Nothing ever arrives, so no receiver can keep the run alive (the engine
-  // stops the moment the last kernel completes); tick until the CKS has
-  // swallowed the whole stream.
-  engine.AddKernel(TickWhileDroppedBelow(fabric.cks(0, 0), 25), "tick");
-  engine.Run();
-  EXPECT_EQ(fabric.cks(0, 0).filter_dropped(), 25u);
-  EXPECT_EQ(fabric.cks(0, 0).filter_passed(), 0u);
+sim::EngineConfig WithCounters() {
+  sim::EngineConfig config;
+  config.collect_counters = true;
+  return config;
 }
 
 TEST(HandlerFilter, UploadRejectsInvalidTable) {
@@ -207,7 +170,7 @@ TEST(HandlerFilter, UploadRejectsInvalidTable) {
 TEST(HandlerFanOut, LocallyDeliveredPacketIsReplicatedToChildren) {
   // Bus(3): one packet 0 -> 1; rank 1 holds a fan entry toward rank 2, so
   // both 1 and 2 receive the payload and the source address is preserved.
-  Engine engine;
+  Engine engine(WithCounters());
   const Topology topo = Topology::Bus(3);
   Fabric fabric = MakeSimpleFabric(engine, topo, 0);
   std::vector<HandlerTable> tables(3);
@@ -230,14 +193,14 @@ TEST(HandlerFanOut, LocallyDeliveredPacketIsReplicatedToChildren) {
     EXPECT_EQ(sink1[i], i);
     EXPECT_EQ(sink2[i], i);
   }
-  EXPECT_EQ(fabric.ckr(1, 0).handler_splits(), 10u);
-  EXPECT_EQ(fabric.ckr(2, 0).handler_splits(), 0u);
+  EXPECT_EQ(HandlerSplits(engine, fabric.ckr(1, 0)), 10u);
+  EXPECT_EQ(HandlerSplits(engine, fabric.ckr(2, 0)), 0u);
 }
 
 TEST(HandlerFanOut, TransitPacketsAreNotReplicated) {
   // Bus(3) again, but the stream is 0 -> 2, passing *through* rank 1. The
   // fan entry keys on local delivery only, so rank 1 must not replicate.
-  Engine engine;
+  Engine engine(WithCounters());
   const Topology topo = Topology::Bus(3);
   Fabric fabric = MakeSimpleFabric(engine, topo, 0);
   std::vector<HandlerTable> tables(3);
@@ -254,7 +217,7 @@ TEST(HandlerFanOut, TransitPacketsAreNotReplicated) {
   engine.AddKernel(RecvPackets(fabric.RecvEndpoint(2, 0), 15, sink), "r");
   engine.Run();
   ASSERT_EQ(sink.size(), 15u);
-  EXPECT_EQ(fabric.ckr(1, 0).handler_splits(), 0u);
+  EXPECT_EQ(HandlerSplits(engine, fabric.ckr(1, 0)), 0u);
 }
 
 }  // namespace
