@@ -60,6 +60,10 @@ Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
     for (const int child : tree.children) {
       while (!readies.Has(child)) {
         const Packet p = co_await fifo_pop(*ctx.net_in);
+        if (p.hdr.op == OpType::kData && p.hdr.src == tree.parent) {
+          readies.Hold(p);
+          continue;
+        }
         if (p.hdr.op != OpType::kSync) {
           throw ConfigError("BcastSupport: unexpected packet during "
                             "rendezvous: " + p.DebugString());
@@ -82,7 +86,7 @@ Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
         }
         data.hdr.count = static_cast<std::uint8_t>(chunk);
       } else {
-        data = co_await fifo_pop(*ctx.net_in);
+        if (!readies.TakeHeld(data)) data = co_await fifo_pop(*ctx.net_in);
         if (data.hdr.op != OpType::kData) {
           throw ConfigError("BcastSupport: unexpected packet: " +
                             data.DebugString());

@@ -6,6 +6,7 @@
 /// MakeSupportKernel dispatches to, and the helpers they share (token
 /// unpacking, rank lookup, sync packets, element packing, the READY ledger).
 
+#include <deque>
 #include <map>
 #include <string>
 #include <utility>
@@ -103,6 +104,11 @@ inline int RelToGlobal(const CollConfig& cfg, int rel) {
 /// Rendezvous bookkeeping: counts READY syncs per source rank, persisting
 /// across successive channel opens on the same port so that an early READY
 /// for the *next* open (from a fast rank) is credited correctly.
+///
+/// It also holds data packets that overtake a READY. A Bcast inner node
+/// sends its READY upward before its own children are ready, so its
+/// parent's first packets can arrive while it still waits for a child; the
+/// node's data loop takes them, in arrival order, before popping more.
 class ReadyLedger {
  public:
   void Record(int src_global) { ++counts_[src_global]; }
@@ -112,8 +118,17 @@ class ReadyLedger {
   }
   void Consume(int src_global) { --counts_[src_global]; }
 
+  void Hold(const net::Packet& p) { held_.push_back(p); }
+  bool TakeHeld(net::Packet& out) {
+    if (held_.empty()) return false;
+    out = held_.front();
+    held_.pop_front();
+    return true;
+  }
+
  private:
   std::map<int, int> counts_;
+  std::deque<net::Packet> held_;
 };
 
 }  // namespace smi::core
