@@ -7,6 +7,7 @@
 /// Build & run:  ./build/examples/bcast_spmd
 
 #include <cstdio>
+#include <vector>
 
 #include "core/smi.h"
 
@@ -15,7 +16,7 @@ namespace {
 using namespace smi;
 
 /// void App(int N, int root, SMI_Comm comm, ...) — Listing 2.
-sim::Kernel App(core::Context& ctx, int n, int root) {
+sim::Kernel App(core::Context& ctx, int n, int root, float& total) {
   // SMI_Open_bcast_channel(N, SMI_FLOAT, 0, root, comm)
   core::BcastChannel chan = ctx.OpenBcastChannel(
       n, core::DataType::kFloat, /*port=*/0, root, ctx.world());
@@ -34,7 +35,6 @@ sim::Kernel App(core::Context& ctx, int n, int root) {
   core::ReduceChannel rchan = ctx.OpenReduceChannel(
       1, core::DataType::kFloat, core::ReduceOp::kAdd, /*port=*/1, root,
       ctx.world());
-  float total = 0.0f;
   co_await rchan.Reduce(static_cast<float>(local_sum), total);
   if (my_rank == root) {
     std::printf("[root %d] broadcast %d elements; global sum across %d "
@@ -53,12 +53,20 @@ int main() {
   core::Cluster cluster(net::Topology::Torus2D(2, 4), spec);
   const int n = 512;
   const int root = 3;  // chosen at runtime, no rebuild
+  std::vector<float> totals(static_cast<std::size_t>(cluster.num_ranks()));
   for (int r = 0; r < cluster.num_ranks(); ++r) {
-    cluster.AddKernel(r, App(cluster.context(r), n, root), "app");
+    float& total = totals[static_cast<std::size_t>(r)];
+    cluster.AddKernel(r, App(cluster.context(r), n, root, total), "app");
   }
   const core::RunResult result = cluster.Run();
   std::printf("completed in %llu cycles (%.2f us)\n",
               static_cast<unsigned long long>(result.cycles),
               result.microseconds);
+  // Every rank sums 0.5*i for i < n; all partial sums are exact in float.
+  const double expect = cluster.num_ranks() * 0.5 * n * (n - 1) / 2.0;
+  if (totals[static_cast<std::size_t>(root)] != expect) {
+    std::printf("global sum mismatch: expected %.1f\n", expect);
+    return 1;
+  }
   return 0;
 }

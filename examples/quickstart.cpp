@@ -27,11 +27,10 @@ sim::Kernel Rank0(core::Context& ctx, int n) {
 }
 
 /// void Rank1(const int N, ...) — Listing 1, receiver side.
-sim::Kernel Rank1(core::Context& ctx, int n) {
+sim::Kernel Rank1(core::Context& ctx, int n, std::int64_t& checksum) {
   // SMI_Open_recv_channel(N, SMI_INT, 0, 0, SMI_COMM_WORLD)
   core::RecvChannel chr = ctx.OpenRecvChannel(
       n, core::DataType::kInt, /*source=*/0, /*port=*/0, ctx.world());
-  std::int64_t checksum = 0;
   for (int i = 0; i < n; ++i) {  // pipelined loop
     const std::int32_t data = co_await chr.Pop<std::int32_t>();
     checksum += data;  // ...do something useful with data...
@@ -53,12 +52,21 @@ int main() {
 
   const int n = 1000;
   cluster.AddKernel(0, Rank0(cluster.context(0), n), "rank0");
-  cluster.AddKernel(1, Rank1(cluster.context(1), n), "rank1");
+  std::int64_t checksum = 0;
+  cluster.AddKernel(1, Rank1(cluster.context(1), n, checksum), "rank1");
 
   const core::RunResult result = cluster.Run();
   std::printf("completed in %llu cycles (%.2f us) — %.2f Gbit/s payload\n",
               static_cast<unsigned long long>(result.cycles),
               result.microseconds,
               static_cast<double>(n) * 4 * 8 / (result.microseconds * 1e3));
+  // Sum of i*i for i < n.
+  const std::int64_t expect =
+      static_cast<std::int64_t>(n) * (n - 1) * (2 * n - 1) / 6;
+  if (checksum != expect) {
+    std::printf("checksum mismatch: expected %lld\n",
+                static_cast<long long>(expect));
+    return 1;
+  }
   return 0;
 }

@@ -844,6 +844,9 @@ void Engine::RunPartitionEpoch(Partition& p) {
   while (*p.clock < p.epoch_end) {
     const Cycle cycle = *p.clock;
     if (StepCycleEvent(p)) p.last_progress_p1 = cycle + 1;
+    // A lone partition's last app kernel finishing completes the run: stop
+    // here rather than step to the epoch bound and trim it all again.
+    if (p.app_pending == 0 && partitions_.size() == 1) break;
     if (*p.clock >= p.epoch_end) break;
     const Cycle next = NextEventCycle(p);
     if (next > *p.clock) {

@@ -46,7 +46,10 @@ class FifoBase {
   const std::string& name() const { return name_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Total pushes/pops over the whole run (for traffic statistics).
+  /// Ring positions: pushes/pops since construction. They are simulation
+  /// state, not revocable statistics (sim/journal.h), so a parallel run with
+  /// more than one partition still counts the final epoch's overshoot past
+  /// the completion cycle. Per-run traffic counts come from obs::FifoCounters.
   std::uint64_t total_pushes() const { return tail_; }
   std::uint64_t total_pops() const { return head_; }
 
