@@ -17,9 +17,13 @@
 ///    containing one pop and one push naturally runs at II = 1 without any
 ///    explicit cycle bookkeeping by the kernel author.
 ///  * `co_await NextCycle{}` models a pure compute/pipeline bubble.
+///  * `co_await SomeTask(...)` runs a shared sub-coroutine (`Task`) inside
+///    the awaiting kernel. Entering and leaving it cost no cycle and no
+///    engine resume; its blockers park the outermost `Kernel`, so the engine
+///    still sees exactly one kernel and resumes its innermost frame.
 ///
 /// Exceptions thrown inside a kernel are captured and rethrown by the
-/// engine.
+/// engine; an exception thrown inside a Task is rethrown at its co_await.
 
 #include <coroutine>
 #include <exception>
@@ -70,10 +74,15 @@ class Kernel {
     void unhandled_exception() noexcept {
       exception = std::current_exception();
     }
+    promise_type& outermost() { return *this; }
 
     Blocker* blocker = nullptr;        ///< set while parked on an operation
     const Cycle* now = nullptr;        ///< engine cycle counter (for awaitables)
     std::exception_ptr exception;
+    /// The frame Resume continues: the kernel's own, or that of the
+    /// innermost Task it awaits (Task entry and exit keep it current).
+    std::coroutine_handle<> innermost =
+        std::coroutine_handle<promise_type>::from_promise(*this);
   };
 
   Kernel() = default;
@@ -94,7 +103,7 @@ class Kernel {
   bool valid() const { return static_cast<bool>(handle_); }
   bool done() const { return handle_.done(); }
   promise_type& promise() const { return handle_.promise(); }
-  void Resume() { handle_.resume(); }
+  void Resume() { handle_.promise().innermost.resume(); }
 
  private:
   void Destroy() {
@@ -106,25 +115,92 @@ class Kernel {
   std::coroutine_handle<promise_type> handle_;
 };
 
+/// A lazily started, void-returning sub-coroutine that a Kernel or another
+/// Task `co_await`s. Entry and exit are symmetric transfers, so they never
+/// go through the engine: a kernel that awaits the same blockers in the same
+/// order keeps its resumes and cycles whether or not the code sits in Tasks.
+/// Each call allocates a frame, so a Task should cover a message or segment,
+/// not a single element.
+class Task {
+ public:
+  struct promise_type {
+    /// Hands control back to the awaiting frame and makes it innermost.
+    struct FinalAwaiter {
+      bool await_ready() const noexcept { return false; }
+      std::coroutine_handle<> await_suspend(
+          std::coroutine_handle<promise_type> handle) noexcept {
+        promise_type& p = handle.promise();
+        p.kernel->innermost = p.caller;
+        return p.caller;
+      }
+      void await_resume() const noexcept {}
+    };
+
+    Task get_return_object() {
+      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    FinalAwaiter final_suspend() noexcept { return {}; }
+    void return_void() noexcept {}
+    void unhandled_exception() noexcept {
+      exception = std::current_exception();
+    }
+    Kernel::promise_type& outermost() { return *kernel; }
+
+    Kernel::promise_type* kernel = nullptr;  ///< the kernel running this Task
+    std::coroutine_handle<> caller;          ///< the awaiting frame
+    std::exception_ptr exception;
+  };
+
+  explicit Task(std::coroutine_handle<promise_type> handle)
+      : handle_(handle) {}
+  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
+  Task& operator=(Task&&) = delete;
+  Task(const Task&) = delete;
+  Task& operator=(const Task&) = delete;
+  ~Task() {
+    if (handle_) handle_.destroy();
+  }
+
+  bool await_ready() const noexcept { return false; }
+  template <typename Promise>
+  std::coroutine_handle<> await_suspend(
+      std::coroutine_handle<Promise> caller) noexcept {
+    promise_type& p = handle_.promise();
+    p.kernel = &caller.promise().outermost();
+    p.caller = caller;
+    p.kernel->innermost = handle_;
+    return handle_;
+  }
+  void await_resume() const {
+    if (handle_.promise().exception) {
+      std::rethrow_exception(handle_.promise().exception);
+    }
+  }
+
+ private:
+  std::coroutine_handle<promise_type> handle_;
+};
+
 namespace detail {
 
 /// Common awaitable plumbing: on suspension, park the blocker in the
-/// promise so the engine can poll it.
+/// outermost kernel's promise so the engine can poll it. Awaited from a
+/// Task, the blocker still parks the kernel that runs the Task.
 template <typename Derived>
 struct AwaitableBase : Blocker {
   bool await_ready() { return false; }  // overridden via await_suspend logic
 
-  bool await_suspend(std::coroutine_handle<Kernel::promise_type> handle) {
-    promise = &handle.promise();
+  template <typename Promise>
+  bool await_suspend(std::coroutine_handle<Promise> handle) {
+    Kernel::promise_type& kernel = handle.promise().outermost();
     // Fast path: the operation may already be possible this cycle.
-    if (static_cast<Derived*>(this)->TryComplete(*promise->now)) {
+    if (static_cast<Derived*>(this)->TryComplete(*kernel.now)) {
       return false;  // do not suspend
     }
-    promise->blocker = this;
+    kernel.blocker = this;
     return true;
   }
-
-  Kernel::promise_type* promise = nullptr;
 };
 
 }  // namespace detail
