@@ -32,6 +32,64 @@ const char* CollKindName(CollKind k) {
 }
 
 // ---------------------------------------------------------------------------
+// The shared streaming loops (support_internal.h).
+// ---------------------------------------------------------------------------
+sim::Task StreamElements(const OpenCtx& op, int dst, int n) {
+  const int epp = static_cast<int>(ElementsPerPacket(op.cfg.type));
+  const std::size_t esz = SizeOf(op.cfg.type);
+  for (int sent = 0; sent < n;) {
+    const int chunk = std::min(epp, n - sent);
+    Packet data = MakeSync(op.io, dst, OpType::kData);
+    for (int e = 0; e < chunk; ++e) {
+      PackElement(data, e,
+                  GetElement(co_await fifo_pop(*op.io.app_in), op.kernel),
+                  esz);
+    }
+    data.hdr.count = static_cast<std::uint8_t>(chunk);
+    co_await fifo_push(*op.io.net_out, data);
+    sent += chunk;
+  }
+}
+
+sim::Task DeliverElements(const OpenCtx& op, int n, int src) {
+  const std::size_t esz = SizeOf(op.cfg.type);
+  for (int received = 0; received < n;) {
+    const Packet p = co_await fifo_pop(*op.io.net_in);
+    if (p.hdr.op != OpType::kData || p.hdr.src != src) {
+      throw ConfigError(std::string(op.kernel) +
+                        ": unexpected packet: " + p.DebugString());
+    }
+    for (int e = 0; e < p.hdr.count; ++e) {
+      co_await fifo_push(*op.io.app_out, CollToken(UnpackElement(p, e, esz)));
+      ++received;
+    }
+  }
+}
+
+sim::Task LoopBack(const OpenCtx& op, int n) {
+  for (int c = 0; c < n; ++c) {
+    const Element e = GetElement(co_await fifo_pop(*op.io.app_in), op.kernel);
+    co_await fifo_push(*op.io.app_out, CollToken(e));
+  }
+}
+
+sim::Task AwaitReady(const OpenCtx& op, ReadyLedger& ledger, int g) {
+  while (!ledger.Has(g)) {
+    const Packet p = co_await fifo_pop(*op.io.net_in);
+    if (p.hdr.op == OpType::kData) {
+      ledger.Hold(p);
+    } else if (p.hdr.op == OpType::kSync) {
+      ledger.Record(p.hdr.src);
+    } else {
+      throw ConfigError(std::string(op.kernel) +
+                        ": unexpected packet during rendezvous: " +
+                        p.DebugString());
+    }
+  }
+  ledger.Consume(g);
+}
+
+// ---------------------------------------------------------------------------
 // Bcast (§4.4) over a CollTree: every non-root sends READY to its parent,
 // and a node streams to a child only after that child's READY (one-to-all
 // rendezvous). The root assembles each packet from its application's
@@ -46,6 +104,7 @@ Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "BcastSupport");
     NotifyCollectiveSyncPoint(ctx);  // channel open
+    const OpenCtx op{ctx, cfg, "BcastSupport"};
     const CollTree tree(cfg, MyCommRank(cfg, ctx.my_global, "BcastSupport"),
                         algo);
     const int epp = static_cast<int>(ElementsPerPacket(cfg.type));
@@ -58,19 +117,7 @@ Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
     // Collect READYs from all children (any arrival order; early READYs for
     // the next open are credited via the ledger).
     for (const int child : tree.children) {
-      while (!readies.Has(child)) {
-        const Packet p = co_await fifo_pop(*ctx.net_in);
-        if (p.hdr.op == OpType::kData && p.hdr.src == tree.parent) {
-          readies.Hold(p);
-          continue;
-        }
-        if (p.hdr.op != OpType::kSync) {
-          throw ConfigError("BcastSupport: unexpected packet during "
-                            "rendezvous: " + p.DebugString());
-        }
-        readies.Record(p.hdr.src);
-      }
-      readies.Consume(child);
+      co_await AwaitReady(op, readies, child);
     }
 
     int done = 0;
@@ -114,8 +161,8 @@ Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
 //  * a leaf (a non-root without children) streams one tile per credit:
 //    tile 0 is implicitly granted at open, tile t waits for its credit;
 //  * the root and inner nodes fold their own application stream with their
-//    children's partials, in arrival order, into a C-deep accumulator
-//    window — legal because the supported operations are associative and
+//    children's partials, in arrival order, into a C-deep FoldWindow —
+//    legal because the supported operations are associative and
 //    commutative. Element e is complete once every source contributed it;
 //    the root emits it to its application, an inner node forwards it to its
 //    parent (packed like a leaf's stream, within the parent's credits).
@@ -136,41 +183,25 @@ Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
     if (cfg.count == 0) continue;
 
     if (!tree.is_root() && tree.is_leaf()) {
-      int sent = 0;
-      for (int tile = 0; sent < cfg.count; ++tile) {
-        if (tile > 0) {
+      const OpenCtx op{ctx, cfg, "ReduceSupport"};
+      for (int sent = 0; sent < cfg.count; sent += C) {
+        if (sent > 0) {
           const Packet credit = co_await fifo_pop(*ctx.net_in);
           if (credit.hdr.op != OpType::kCredit) {
             throw ConfigError("ReduceSupport: expected a credit, got " +
                               credit.DebugString());
           }
         }
-        const int tile_end = std::min(cfg.count, (tile + 1) * C);
-        while (sent < tile_end) {
-          const int chunk = std::min(epp, tile_end - sent);
-          Packet data = MakeSync(ctx, tree.parent, OpType::kData);
-          for (int e = 0; e < chunk; ++e) {
-            PackElement(data, e,
-                        GetElement(co_await fifo_pop(*ctx.app_in),
-                                   "ReduceSupport"),
-                        esz);
-          }
-          data.hdr.count = static_cast<std::uint8_t>(chunk);
-          co_await fifo_push(*ctx.net_out, data);
-          sent += chunk;
-        }
+        co_await StreamElements(op, tree.parent,
+                                std::min(C, cfg.count - sent));
       }
       NotifyCollectiveSyncPoint(ctx);  // channel close
       continue;
     }
 
-    const int sources = 1 + static_cast<int>(tree.children.size());
-    std::vector<Element> accum(static_cast<std::size_t>(C),
-                               ReduceIdentity(cfg.op, cfg.type));
-    std::vector<int> contrib(static_cast<std::size_t>(C), 0);
+    FoldWindow window(cfg, C, 1 + static_cast<int>(tree.children.size()));
     std::map<int, int> child_next;  // per child global rank: next element
     for (const int child : tree.children) child_next[child] = 0;
-    int local_next = 0;
     int emitted = 0;         // elements delivered to app (root) or parent
     int granted_tiles = 1;   // tile 0 is implicitly granted at open
     int parent_credits = 1;  // tiles the parent granted (inner nodes)
@@ -181,18 +212,17 @@ Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
     while (emitted < cfg.count) {
       const Cycle now = *ctx.now;
       // (1) Emit the next completed element.
-      const std::size_t eslot = static_cast<std::size_t>(emitted % C);
-      if (contrib[eslot] == sources) {
+      if (window.Complete(emitted)) {
         bool advanced = false;
         if (tree.is_root()) {
           if (ctx.app_out->CanPush(now)) {
-            ctx.app_out->Push(CollToken(accum[eslot]), now);
+            ctx.app_out->Push(CollToken(window.Value(emitted)), now);
             advanced = true;
           }
         } else if (emitted < parent_credits * C) {
           // Stage into the outgoing packet; flush on full packet, tile
           // boundary or message end.
-          PackElement(out, out_fill, accum[eslot], esz);
+          PackElement(out, out_fill, window.Value(emitted), esz);
           ++out_fill;
           const bool flush = out_fill == epp || (emitted + 1) % C == 0 ||
                              emitted + 1 == cfg.count;
@@ -208,8 +238,7 @@ Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
           }
         }
         if (advanced) {
-          accum[eslot] = ReduceIdentity(cfg.op, cfg.type);
-          contrib[eslot] = 0;
+          window.Retire(emitted);
           ++emitted;
           // Tile boundary: grant the next tile if one remains.
           if (emitted % C == 0 && granted_tiles * C < cfg.count) {
@@ -221,15 +250,7 @@ Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
         }
       }
       // (2) Fold one local element within the window.
-      if (local_next < cfg.count && local_next < emitted + C &&
-          ctx.app_in->CanPop(now)) {
-        const std::size_t slot = static_cast<std::size_t>(local_next % C);
-        accum[slot] =
-            ApplyReduceOp(cfg.op, cfg.type, accum[slot],
-                          GetElement(ctx.app_in->Pop(now), "ReduceSupport"));
-        ++contrib[slot];
-        ++local_next;
-      }
+      window.FoldLocal(ctx, now, emitted, "ReduceSupport");
       // (3) Fold one incoming packet (child partials or parent credit).
       if (ctx.net_in->CanPop(now)) {
         const Packet p = ctx.net_in->Pop(now);
@@ -244,10 +265,7 @@ Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
                   "ReduceSupport: rank " + std::to_string(p.hdr.src) +
                   " sent beyond its credit window");
             }
-            const std::size_t slot = static_cast<std::size_t>(idx % C);
-            accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot],
-                                        UnpackElement(p, e, esz));
-            ++contrib[slot];
+            window.Fold(idx, UnpackElement(p, e, esz));
           }
         } else {
           throw ConfigError("ReduceSupport: unexpected packet: " +
@@ -282,62 +300,19 @@ Kernel ScatterSupportKernel(SupportCtx ctx) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "ScatterSupport");
     NotifyCollectiveSyncPoint(ctx);  // channel open
-    const int n = static_cast<int>(cfg.comm_global.size());
+    const OpenCtx op{ctx, cfg, "ScatterSupport"};
     const int me = MyCommRank(cfg, ctx.my_global, "ScatterSupport");
-    const int epp = static_cast<int>(ElementsPerPacket(cfg.type));
-    const std::size_t esz = SizeOf(cfg.type);
-
-    if (me == cfg.root_comm) {
-      for (int r = 0; r < n; ++r) {
-        if (r == cfg.root_comm) {
-          // Loop the root's own segment back to its application.
-          for (int c = 0; c < cfg.count; ++c) {
-            const Element e =
-                GetElement(co_await fifo_pop(*ctx.app_in), "ScatterSupport");
-            co_await fifo_push(*ctx.app_out, CollToken(e));
-          }
-          continue;
-        }
-        const int g = cfg.comm_global[static_cast<std::size_t>(r)];
-        while (!readies.Has(g)) {
-          const Packet p = co_await fifo_pop(*ctx.net_in);
-          if (p.hdr.op != OpType::kSync) {
-            throw ConfigError("ScatterSupport: unexpected packet during "
-                              "rendezvous: " + p.DebugString());
-          }
-          readies.Record(p.hdr.src);
-        }
-        readies.Consume(g);
-        int sent = 0;
-        while (sent < cfg.count) {
-          const int chunk = std::min(epp, cfg.count - sent);
-          Packet data = MakeSync(ctx, g, OpType::kData);
-          for (int e = 0; e < chunk; ++e) {
-            PackElement(data, e,
-                        GetElement(co_await fifo_pop(*ctx.app_in),
-                                   "ScatterSupport"),
-                        esz);
-          }
-          data.hdr.count = static_cast<std::uint8_t>(chunk);
-          co_await fifo_push(*ctx.net_out, data);
-          sent += chunk;
-        }
-      }
+    const int root = cfg.comm_global[static_cast<std::size_t>(cfg.root_comm)];
+    if (me != cfg.root_comm) {
+      co_await fifo_push(*ctx.net_out, MakeSync(ctx, root, OpType::kSync));
+      co_await DeliverElements(op, cfg.count, root);
     } else {
-      co_await fifo_push(
-          *ctx.net_out,
-          MakeSync(ctx, cfg.comm_global[static_cast<std::size_t>(cfg.root_comm)],
-                   OpType::kSync));
-      int received = 0;
-      while (received < cfg.count) {
-        const Packet p = co_await fifo_pop(*ctx.net_in);
-        if (p.hdr.op != OpType::kData) {
-          throw ConfigError("ScatterSupport: unexpected packet: " +
-                            p.DebugString());
-        }
-        for (int e = 0; e < p.hdr.count; ++e) {
-          co_await fifo_push(*ctx.app_out, CollToken(UnpackElement(p, e, esz)));
-          ++received;
+      for (const int g : cfg.comm_global) {
+        if (g == root) {
+          co_await LoopBack(op, cfg.count);
+        } else {
+          co_await AwaitReady(op, readies, g);
+          co_await StreamElements(op, g, cfg.count);
         }
       }
     }
@@ -355,58 +330,24 @@ Kernel GatherSupportKernel(SupportCtx ctx) {
     const CollConfig cfg =
         GetConfig(co_await fifo_pop(*ctx.app_in), "GatherSupport");
     NotifyCollectiveSyncPoint(ctx);  // channel open
-    const int n = static_cast<int>(cfg.comm_global.size());
+    const OpenCtx op{ctx, cfg, "GatherSupport"};
     const int me = MyCommRank(cfg, ctx.my_global, "GatherSupport");
-    const std::size_t esz = SizeOf(cfg.type);
-    const int epp = static_cast<int>(ElementsPerPacket(cfg.type));
-
-    if (me == cfg.root_comm) {
-      for (int r = 0; r < n; ++r) {
-        if (r == cfg.root_comm) {
-          for (int c = 0; c < cfg.count; ++c) {
-            const Element e =
-                GetElement(co_await fifo_pop(*ctx.app_in), "GatherSupport");
-            co_await fifo_push(*ctx.app_out, CollToken(e));
-          }
-          continue;
-        }
-        const int g = cfg.comm_global[static_cast<std::size_t>(r)];
-        co_await fifo_push(*ctx.net_out, MakeSync(ctx, g, OpType::kSync));
-        int received = 0;
-        while (received < cfg.count) {
-          const Packet p = co_await fifo_pop(*ctx.net_in);
-          if (p.hdr.op != OpType::kData || p.hdr.src != g) {
-            throw ConfigError("GatherSupport: unexpected packet: " +
-                              p.DebugString());
-          }
-          for (int e = 0; e < p.hdr.count; ++e) {
-            co_await fifo_push(*ctx.app_out,
-                               CollToken(UnpackElement(p, e, esz)));
-            ++received;
-          }
-        }
-      }
-    } else {
+    const int root = cfg.comm_global[static_cast<std::size_t>(cfg.root_comm)];
+    if (me != cfg.root_comm) {
       const Packet grant = co_await fifo_pop(*ctx.net_in);
       if (grant.hdr.op != OpType::kSync) {
         throw ConfigError("GatherSupport: expected a grant, got " +
                           grant.DebugString());
       }
-      const int root_global =
-          cfg.comm_global[static_cast<std::size_t>(cfg.root_comm)];
-      int sent = 0;
-      while (sent < cfg.count) {
-        const int chunk = std::min(epp, cfg.count - sent);
-        Packet data = MakeSync(ctx, root_global, OpType::kData);
-        for (int e = 0; e < chunk; ++e) {
-          PackElement(data, e,
-                      GetElement(co_await fifo_pop(*ctx.app_in),
-                                 "GatherSupport"),
-                      esz);
+      co_await StreamElements(op, root, cfg.count);
+    } else {
+      for (const int g : cfg.comm_global) {
+        if (g == root) {
+          co_await LoopBack(op, cfg.count);
+        } else {
+          co_await fifo_push(*ctx.net_out, MakeSync(ctx, g, OpType::kSync));
+          co_await DeliverElements(op, cfg.count, g);
         }
-        data.hdr.count = static_cast<std::uint8_t>(chunk);
-        co_await fifo_push(*ctx.net_out, data);
-        sent += chunk;
       }
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close

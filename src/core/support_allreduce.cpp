@@ -68,12 +68,9 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
     if (cfg.count == 0) continue;
 
     // --- Up phase (reduce toward rel 0) ---
-    std::vector<Element> accum(static_cast<std::size_t>(C),
-                               ReduceIdentity(cfg.op, cfg.type));
-    std::vector<int> contrib(static_cast<std::size_t>(C), 0);
+    FoldWindow window(cfg, C, sources);
     std::map<int, int> child_next;  // per child global rank: next element
     for (const int g : child_globals) child_next[g] = 0;
-    int local_next = 0;
     int up_done = 0;        // elements fully folded and dispatched upward
                             // (at the root: delivered + staged downward)
     int granted_tiles = 1;  // tiles granted to children (tile 0 below)
@@ -96,21 +93,19 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
       // (1) Advance the up phase: once every source contributed the next
       // element, it becomes a result (root) or flows to the parent under
       // credit flow control.
-      if (up_done < cfg.count &&
-          contrib[static_cast<std::size_t>(up_done % C)] == sources) {
-        const std::size_t slot = static_cast<std::size_t>(up_done % C);
+      if (up_done < cfg.count && window.Complete(up_done)) {
         bool advanced = false;
         if (is_root) {
           // The result is final: deliver locally and stage it into the down
           // packet, which must not still be in flight to the children.
           if (fwd_pending.empty() && ctx.app_out->CanPush(now)) {
-            ctx.app_out->Push(CollToken(accum[slot]), now);
+            ctx.app_out->Push(CollToken(window.Value(up_done)), now);
             ++delivered;
             if (!child_globals.empty()) {
               // Same per-element rendezvous constraint as the up phase: a
               // result held in a partially filled down packet would block
               // every non-root rank's pop of that result.
-              PackElement(down_pkt, 0, accum[slot], esz);
+              PackElement(down_pkt, 0, window.Value(up_done), esz);
               down_pkt.hdr.count = 1;
               fwd_pending = child_globals;
             }
@@ -128,15 +123,14 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
             // request/response rendezvous (the application pushes element i
             // and blocks until result i returns), so holding element i in a
             // partially filled packet would stall the whole communicator.
-            PackElement(up_pkt, 0, accum[slot], esz);
+            PackElement(up_pkt, 0, window.Value(up_done), esz);
             up_pkt.hdr.count = 1;
             ctx.net_out->Push(up_pkt, now);
             advanced = true;
           }
         }
         if (advanced) {
-          accum[slot] = ReduceIdentity(cfg.op, cfg.type);
-          contrib[slot] = 0;
+          window.Retire(up_done);
           ++up_done;
           if (up_done % C == 0 && granted_tiles * C < cfg.count) {
             ++granted_tiles;
@@ -145,15 +139,7 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
         }
       }
       // (2) Fold one local element within the accumulation window.
-      if (local_next < cfg.count && local_next < up_done + C &&
-          ctx.app_in->CanPop(now)) {
-        const Element e =
-            GetElement(ctx.app_in->Pop(now), "AllreduceSupport");
-        const std::size_t slot = static_cast<std::size_t>(local_next % C);
-        accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot], e);
-        ++contrib[slot];
-        ++local_next;
-      }
+      window.FoldLocal(ctx, now, up_done, "AllreduceSupport");
       // (3) Classify one incoming packet: parent credit, parent down-data,
       // or child contribution. Held back while a down packet is still being
       // delivered, so down packets are consumed strictly in order.
@@ -175,10 +161,7 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
               throw ConfigError(
                   "AllreduceSupport: child exceeded its credit window");
             }
-            const std::size_t slot = static_cast<std::size_t>(idx % C);
-            accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot],
-                                        UnpackElement(p, e, esz));
-            ++contrib[slot];
+            window.Fold(idx, UnpackElement(p, e, esz));
           }
         } else {
           throw ConfigError("AllreduceSupport: unexpected packet: " +

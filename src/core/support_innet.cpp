@@ -152,10 +152,7 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
       const int win_tiles =
           tiles > 1 ? std::min(tiles, 2 + cfg.window_cycles / C) : 1;
       const int win = win_tiles * C;
-      std::vector<Element> accum(static_cast<std::size_t>(win),
-                                 ReduceIdentity(cfg.op, cfg.type));
-      std::vector<int> contrib(static_cast<std::size_t>(win), 0);
-      int local_next = 0;
+      FoldWindow window(cfg, win, n);
       int emitted = 0;
       int granted = 1;          // tiles the non-roots may send
       int credits_to_send = 0;  // pending self-addressed grant multicasts
@@ -169,23 +166,13 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
           if (n > 1) ++credits_to_send;
         }
         // (1) Emit the next completed element to the application.
-        const std::size_t eslot = static_cast<std::size_t>(emitted % win);
-        if (contrib[eslot] == n && ctx.app_out->CanPush(now)) {
-          ctx.app_out->Push(CollToken(accum[eslot]), now);
-          accum[eslot] = ReduceIdentity(cfg.op, cfg.type);
-          contrib[eslot] = 0;
+        if (window.Complete(emitted) && ctx.app_out->CanPush(now)) {
+          ctx.app_out->Push(CollToken(window.Value(emitted)), now);
+          window.Retire(emitted);
           ++emitted;
         }
         // (2) Fold one local element within the window.
-        if (local_next < cfg.count && local_next < emitted + win &&
-            ctx.app_in->CanPop(now)) {
-          const Element e =
-              GetElement(ctx.app_in->Pop(now), "InnetReduceSupport");
-          const std::size_t slot = static_cast<std::size_t>(local_next % win);
-          accum[slot] = ApplyReduceOp(cfg.op, cfg.type, accum[slot], e);
-          ++contrib[slot];
-          ++local_next;
-        }
+        window.FoldLocal(ctx, now, emitted, "InnetReduceSupport");
         // (3) Fold one incoming envelope packet.
         if (ctx.net_in->CanPop(now)) {
           const Packet p = ctx.net_in->Pop(now);
@@ -209,16 +196,13 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
                     "InnetReduceSupport: contribution outside the granted "
                     "window: " + p.DebugString());
               }
-              const std::size_t slot = static_cast<std::size_t>(idx % win);
-              if (contrib[slot] + pc > n) {
+              if (window.Contributions(idx) + pc > n) {
                 throw ConfigError(
                     "InnetReduceSupport: element folded more than once "
                     "per rank: " + p.DebugString());
               }
-              accum[slot] = ApplyReduceOp(
-                  cfg.op, cfg.type, accum[slot],
-                  UnpackElement(p, e, esz, InnetEnvelope::kBytes));
-              contrib[slot] += pc;
+              window.Fold(idx, UnpackElement(p, e, esz, InnetEnvelope::kBytes),
+                          pc);
             }
           } else {
             throw ConfigError("InnetReduceSupport: unexpected packet: " +

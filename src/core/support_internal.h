@@ -4,12 +4,14 @@
 /// \file support_internal.h
 /// Internal to src/core: the per-collective support kernels that
 /// MakeSupportKernel dispatches to, and the helpers they share (token
-/// unpacking, rank lookup, sync packets, element packing, the READY ledger).
+/// unpacking, rank lookup, sync packets, element packing, the READY ledger,
+/// the fold window, and the streaming sub-coroutines).
 
 #include <deque>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "core/support.h"
@@ -101,14 +103,70 @@ inline int RelToGlobal(const CollConfig& cfg, int rel) {
   return cfg.comm_global[static_cast<std::size_t>(comm_rank)];
 }
 
+/// The C-deep accumulation window of the polling fold loops (Reduce's root
+/// and inner nodes, Allreduce's up phase, the kInnet root). Element i folds
+/// into slot i % width and is complete once `sources` contributions have
+/// arrived; it is retired in order, which frees its slot for i + width.
+/// Those loops advance one NextCycle per iteration, so this is a plain class
+/// rather than a Task.
+class FoldWindow {
+ public:
+  FoldWindow(const CollConfig& cfg, int width, int sources)
+      : op_(cfg.op),
+        type_(cfg.type),
+        count_(cfg.count),
+        width_(width),
+        sources_(sources),
+        identity_(ReduceIdentity(cfg.op, cfg.type)),
+        accum_(static_cast<std::size_t>(width), identity_),
+        contrib_(static_cast<std::size_t>(width), 0) {}
+
+  bool Complete(int idx) const { return contrib_[Slot(idx)] == sources_; }
+  const Element& Value(int idx) const { return accum_[Slot(idx)]; }
+  int Contributions(int idx) const { return contrib_[Slot(idx)]; }
+  void Retire(int idx) {
+    accum_[Slot(idx)] = identity_;
+    contrib_[Slot(idx)] = 0;
+  }
+  /// Folds `e`, which already carries `contribs` contributions, into
+  /// element `idx`.
+  void Fold(int idx, const Element& e, int contribs = 1) {
+    Element& acc = accum_[Slot(idx)];
+    acc = ApplyReduceOp(op_, type_, acc, e);
+    contrib_[Slot(idx)] += contribs;
+  }
+  /// Folds the application's next element if one is waiting and it lies
+  /// within the window past the first unretired element `retired`.
+  void FoldLocal(const SupportCtx& ctx, sim::Cycle now, int retired,
+                 const char* kernel) {
+    if (local_next_ < count_ && local_next_ < retired + width_ &&
+        ctx.app_in->CanPop(now)) {
+      Fold(local_next_, GetElement(ctx.app_in->Pop(now), kernel));
+      ++local_next_;
+    }
+  }
+
+ private:
+  std::size_t Slot(int idx) const {
+    return static_cast<std::size_t>(idx % width_);
+  }
+
+  ReduceOp op_;
+  DataType type_;
+  int count_;
+  int width_;
+  int sources_;
+  Element identity_;
+  std::vector<Element> accum_;
+  std::vector<int> contrib_;
+  int local_next_ = 0;  ///< next application element to fold
+};
+
 /// Rendezvous bookkeeping: counts READY syncs per source rank, persisting
 /// across successive channel opens on the same port so that an early READY
 /// for the *next* open (from a fast rank) is credited correctly.
 ///
-/// It also holds data packets that overtake a READY. A Bcast inner node
-/// sends its READY upward before its own children are ready, so its
-/// parent's first packets can arrive while it still waits for a child; the
-/// node's data loop takes them, in arrival order, before popping more.
+/// It also holds data packets that overtake a READY (see AwaitReady).
 class ReadyLedger {
  public:
   void Record(int src_global) { ++counts_[src_global]; }
@@ -130,6 +188,31 @@ class ReadyLedger {
   std::map<int, int> counts_;
   std::deque<net::Packet> held_;
 };
+
+// ---------------------------------------------------------------------------
+// The streaming loops the support kernels share, as sub-coroutines. Each one
+// covers a whole message or segment, because every call allocates a frame.
+// ---------------------------------------------------------------------------
+
+/// One channel open as the helpers see it.
+struct OpenCtx {
+  const SupportCtx& io;
+  const CollConfig& cfg;
+  const char* kernel;  ///< names the support kernel in error messages
+};
+
+/// Streams the application's next `n` elements to `dst` in full packets.
+sim::Task StreamElements(const OpenCtx& op, int dst, int n);
+/// Delivers `n` elements arriving in data packets from `src` to the
+/// application.
+sim::Task DeliverElements(const OpenCtx& op, int n, int src);
+/// Loops the application's next `n` elements straight back to it.
+sim::Task LoopBack(const OpenCtx& op, int n);
+/// Waits until `g`'s READY is in `ledger`, then consumes it. READYs from
+/// other ranks are recorded for later. A data packet is held in the ledger:
+/// a tree-Bcast inner node sends its READY upward before its own children
+/// are ready, so its parent's first packets can arrive while it waits.
+sim::Task AwaitReady(const OpenCtx& op, ReadyLedger& ledger, int g);
 
 }  // namespace smi::core
 
