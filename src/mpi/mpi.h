@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -82,20 +81,103 @@ struct ShimConfig {
 /// kernels of the layout above for each type in `config.types`.
 core::ProgramSpec WorldSpec(int world_size, const ShimConfig& config = {});
 
+// ---------------------------------------------------------------------------
+// Calls: each streams a whole buffer through one transient SMI channel, one
+// channel operation per element; the per-element awaitables enforce II=1
+// and backpressure, so a deadlock names the blocked SMI operation.
+//
+// A call first tries element i+1 in the cycle after element i completed.
+// Where the operation is a single FIFO transfer (Send, Recv, Bcast) that
+// holds by itself: the port is used for the rest of the cycle. Reduce,
+// Allreduce, Scatter and Gather may push an element in an earlier cycle
+// than they pop its result, so they wait for the next cycle explicitly.
+// ---------------------------------------------------------------------------
+
 namespace detail {
-template <typename T> struct SendCall;
-template <typename T> struct RecvCall;
-template <typename T> struct BcastCall;
-template <typename T> struct ReduceCall;
-template <typename T> struct AllreduceCall;
-template <typename T> struct ScatterCall;
-template <typename T> struct GatherCall;
-struct BarrierCall;
+
+template <typename T>
+sim::Task SendCall(core::SendChannel chan, const T* buf, int count) {
+  for (int i = 0; i < count; ++i) co_await chan.Push(buf[i]);
+}
+
+template <typename T>
+sim::Task RecvCall(core::RecvChannel chan, T* buf, int count) {
+  for (int i = 0; i < count; ++i) buf[i] = co_await chan.Pop<T>();
+}
+
+template <typename T>
+sim::Task BcastCall(core::BcastChannel chan, T* buf, int count) {
+  for (int i = 0; i < count; ++i) co_await chan.Bcast(buf[i]);
+}
+
+template <typename T>
+sim::Task ReduceCall(core::ReduceChannel chan, const T* snd, T* rcv,
+                     int count) {
+  for (int i = 0; i < count; ++i) {
+    if (i > 0) co_await sim::NextCycle{};
+    T value{};  // non-roots may pass no receive buffer
+    co_await chan.Reduce(snd[i], value);
+    if (chan.is_root()) rcv[i] = value;
+  }
+}
+
+template <typename T>
+sim::Task AllreduceCall(core::AllreduceChannel chan, const T* snd, T* rcv,
+                        int count) {
+  for (int i = 0; i < count; ++i) {
+    if (i > 0) co_await sim::NextCycle{};
+    co_await chan.Allreduce(snd[i], rcv[i]);
+  }
+}
+
+/// The root makes count*comm_size calls and receives during its own
+/// segment; a non-root makes count calls.
+template <typename T>
+sim::Task ScatterCall(core::ScatterChannel chan, const T* snd, T* rcv,
+                      int count) {
+  const bool root = chan.is_root();
+  const int total = root ? count * chan.comm_size() : count;
+  for (int i = 0, received = 0; i < total; ++i) {
+    if (i > 0) co_await sim::NextCycle{};
+    T value{};
+    if (co_await chan.Scatter(root ? &snd[i] : nullptr, value)) {
+      rcv[received++] = value;
+    }
+  }
+}
+
+/// The root makes count*comm_size calls, supplying its own contribution
+/// during its rank-order window; a non-root makes count calls.
+template <typename T>
+sim::Task GatherCall(core::GatherChannel chan, const T* snd, T* rcv,
+                     int count) {
+  const bool root = chan.is_root();
+  const int total = root ? count * chan.comm_size() : count;
+  const int own = chan.root_comm_rank() * count;  // root window start
+  for (int i = 0; i < total; ++i) {
+    if (i > 0) co_await sim::NextCycle{};
+    if (!root) {
+      co_await chan.Gather(snd[i], static_cast<T*>(nullptr));
+    } else if (i >= own && i < own + count) {
+      co_await chan.Gather(snd[i - own], &rcv[i]);
+    } else {
+      co_await chan.Gather(T{}, &rcv[i]);
+    }
+  }
+}
+
+/// Barrier = one-element int Allreduce nobody reads.
+inline sim::Task BarrierCall(core::AllreduceChannel chan) {
+  const std::int32_t snd = 0;
+  std::int32_t rcv = 0;
+  co_await AllreduceCall(std::move(chan), &snd, &rcv, 1);
+}
+
 }  // namespace detail
 
 /// Per-rank communicator handle (the world communicator). Construct once
-/// per application kernel; every method returns an awaitable that completes
-/// when the whole buffer has been streamed.
+/// per application kernel; every method opens its channel at once and
+/// returns a Task that completes when the whole buffer has been streamed.
 class Comm {
  public:
   explicit Comm(core::Context& ctx, ShimConfig config = {})
@@ -110,7 +192,7 @@ class Comm {
   int size() const { return ctx_->world_size(); }
 
   template <typename T>
-  detail::SendCall<T> Send(const T* buf, int count, int dest) {
+  sim::Task Send(const T* buf, int count, int dest) {
     return detail::SendCall<T>(
         ctx_->OpenSendChannel(count, core::DataTypeOf<T>::value, dest,
                               /*port=*/rank(), ctx_->world()),
@@ -118,7 +200,7 @@ class Comm {
   }
 
   template <typename T>
-  detail::RecvCall<T> Recv(T* buf, int count, int source) {
+  sim::Task Recv(T* buf, int count, int source) {
     return detail::RecvCall<T>(
         ctx_->OpenRecvChannel(count, core::DataTypeOf<T>::value, source,
                               /*port=*/source, ctx_->world()),
@@ -126,7 +208,7 @@ class Comm {
   }
 
   template <typename T>
-  detail::BcastCall<T> Bcast(T* buf, int count, int root) {
+  sim::Task Bcast(T* buf, int count, int root) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kBcast, count, type);
     return detail::BcastCall<T>(
@@ -135,7 +217,7 @@ class Comm {
   }
 
   template <typename T>
-  detail::ReduceCall<T> Reduce(const T* snd, T* rcv, int count,
+  sim::Task Reduce(const T* snd, T* rcv, int count,
                                core::ReduceOp op, int root) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kReduce, count, type);
@@ -146,7 +228,7 @@ class Comm {
   }
 
   template <typename T>
-  detail::AllreduceCall<T> Allreduce(const T* snd, T* rcv, int count,
+  sim::Task Allreduce(const T* snd, T* rcv, int count,
                                      core::ReduceOp op) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kAllreduce, count, type);
@@ -157,7 +239,7 @@ class Comm {
   }
 
   template <typename T>
-  detail::ScatterCall<T> Scatter(const T* snd, T* rcv, int count, int root) {
+  sim::Task Scatter(const T* snd, T* rcv, int count, int root) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kScatter, count, type);
     return detail::ScatterCall<T>(
@@ -166,7 +248,7 @@ class Comm {
   }
 
   template <typename T>
-  detail::GatherCall<T> Gather(const T* snd, T* rcv, int count, int root) {
+  sim::Task Gather(const T* snd, T* rcv, int count, int root) {
     const core::DataType type = core::DataTypeOf<T>::value;
     const int port = ChoosePort(core::CollKind::kGather, count, type);
     return detail::GatherCall<T>(
@@ -174,7 +256,7 @@ class Comm {
         rcv, count);
   }
 
-  detail::BarrierCall Barrier();
+  sim::Task Barrier();
 
  private:
   /// Run the selector for one call, record the decision, and map the verdict
@@ -193,303 +275,7 @@ class Comm {
   ShimConfig config_;
 };
 
-// ---------------------------------------------------------------------------
-// Call awaitables: each streams a whole buffer through one transient SMI
-// channel, one element per cycle (the inner per-element awaitables enforce
-// II=1 and backpressure; the call owns the channel and the loop).
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-template <typename T>
-struct SendCall final : sim::detail::AwaitableBase<SendCall<T>> {
-  SendCall(core::SendChannel chan, const T* buf, int count)
-      : chan(std::move(chan)), buf(buf), count(count) {}
-  core::SendChannel chan;
-  const T* buf;
-  int count;
-  int idx = 0;
-  std::optional<core::detail::PushAwaitable<T>> inner;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == count) return true;
-    if (!inner) inner.emplace(chan.Push(buf[idx]));
-    if (inner->TryComplete(now)) {
-      if (++idx == count) return true;
-      inner.emplace(chan.Push(buf[idx]));
-    }
-    return false;
-  }
-  std::string Describe() const override {
-    return "MPI_Send (" + std::to_string(idx) + "/" + std::to_string(count) +
-           ")";
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(chan.endpoint_fifo());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle now) const override {
-    return chan.OpThisCycle(now) ? now + 1 : sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct RecvCall final : sim::detail::AwaitableBase<RecvCall<T>> {
-  RecvCall(core::RecvChannel chan, T* buf, int count)
-      : chan(std::move(chan)), buf(buf), count(count) {}
-  core::RecvChannel chan;
-  T* buf;
-  int count;
-  int idx = 0;
-  std::optional<core::detail::PopAwaitable<T>> inner;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == count) return true;
-    if (!inner) inner.emplace(chan.Pop<T>());
-    if (inner->TryComplete(now)) {
-      buf[idx] = inner->value;
-      if (++idx == count) return true;
-      inner.emplace(chan.Pop<T>());
-    }
-    return false;
-  }
-  std::string Describe() const override {
-    return "MPI_Recv (" + std::to_string(idx) + "/" + std::to_string(count) +
-           ")";
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(chan.endpoint_fifo());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle now) const override {
-    return chan.OpThisCycle(now) ? now + 1 : sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-/// Shared scaffolding for the collective calls: a staging element `tmp` the
-/// per-element awaitable reads/writes, re-armed after each completion.
-template <typename T>
-struct BcastCall final : sim::detail::AwaitableBase<BcastCall<T>> {
-  BcastCall(core::BcastChannel chan, T* buf, int count)
-      : chan(std::move(chan)), buf(buf), count(count) {}
-  core::BcastChannel chan;
-  T* buf;
-  int count;
-  int idx = 0;
-  T tmp{};
-  std::optional<core::detail::BcastAwaitable<T>> inner;
-
-  void Arm() {
-    if (chan.is_root()) tmp = buf[idx];
-    inner.emplace(chan.Bcast(tmp));
-  }
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == count) return true;
-    if (!inner) Arm();
-    if (inner->TryComplete(now)) {
-      if (!chan.is_root()) buf[idx] = tmp;
-      if (++idx == count) return true;
-      Arm();
-    }
-    return false;
-  }
-  std::string Describe() const override { return "MPI_Bcast"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct ReduceCall final : sim::detail::AwaitableBase<ReduceCall<T>> {
-  ReduceCall(core::ReduceChannel chan, const T* snd, T* rcv, int count)
-      : chan(std::move(chan)), snd(snd), rcv(rcv), count(count) {}
-  core::ReduceChannel chan;
-  const T* snd;
-  T* rcv;
-  int count;
-  int idx = 0;
-  T tmp{};
-  std::optional<core::detail::ReduceAwaitable<T>> inner;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == count) return true;
-    if (!inner) inner.emplace(chan.Reduce(snd[idx], tmp));
-    if (inner->TryComplete(now)) {
-      if (chan.is_root()) rcv[idx] = tmp;
-      if (++idx == count) return true;
-      inner.emplace(chan.Reduce(snd[idx], tmp));
-    }
-    return false;
-  }
-  std::string Describe() const override { return "MPI_Reduce"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct AllreduceCall final : sim::detail::AwaitableBase<AllreduceCall<T>> {
-  AllreduceCall(core::AllreduceChannel chan, const T* snd, T* rcv, int count)
-      : chan(std::move(chan)), snd(snd), rcv(rcv), count(count) {}
-  core::AllreduceChannel chan;
-  const T* snd;
-  T* rcv;
-  int count;
-  int idx = 0;
-  T tmp{};
-  std::optional<core::detail::AllreduceAwaitable<T>> inner;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == count) return true;
-    if (!inner) inner.emplace(chan.Allreduce(snd[idx], tmp));
-    if (inner->TryComplete(now)) {
-      rcv[idx] = tmp;
-      if (++idx == count) return true;
-      inner.emplace(chan.Allreduce(snd[idx], tmp));
-    }
-    return false;
-  }
-  std::string Describe() const override { return "MPI_Allreduce"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct ScatterCall final : sim::detail::AwaitableBase<ScatterCall<T>> {
-  ScatterCall(core::ScatterChannel chan, const T* snd, T* rcv, int count)
-      : chan(std::move(chan)),
-        snd(snd),
-        rcv(rcv),
-        count(count),
-        // this->chan: plain `chan` would name the moved-from parameter.
-        total(this->chan.is_root() ? count * this->chan.comm_size()
-                                   : count) {}
-  core::ScatterChannel chan;
-  const T* snd;  ///< root: count*comm_size elements; non-root: unused
-  T* rcv;        ///< every rank: count elements
-  int count;
-  int total;
-  int idx = 0;
-  int rcv_idx = 0;
-  T tmp{};
-  std::optional<core::detail::ScatterAwaitable<T>> inner;
-
-  void Arm() {
-    inner.emplace(chan.Scatter(chan.is_root() ? &snd[idx] : nullptr, tmp));
-  }
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == total) return true;
-    if (!inner) Arm();
-    if (inner->TryComplete(now)) {
-      if (inner->received) rcv[rcv_idx++] = tmp;
-      if (++idx == total) return true;
-      Arm();
-    }
-    return false;
-  }
-  std::string Describe() const override { return "MPI_Scatter"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct GatherCall final : sim::detail::AwaitableBase<GatherCall<T>> {
-  GatherCall(core::GatherChannel chan, const T* snd, T* rcv, int count)
-      : chan(std::move(chan)),
-        snd(snd),
-        rcv(rcv),
-        count(count),
-        // this->chan: plain `chan` would name the moved-from parameter.
-        total(this->chan.is_root() ? count * this->chan.comm_size()
-                                   : count) {}
-  core::GatherChannel chan;
-  const T* snd;  ///< every rank: count elements
-  T* rcv;        ///< root: count*comm_size elements; non-root: unused
-  int count;
-  int total;
-  int idx = 0;
-  T tmp{};
-  std::optional<core::detail::GatherAwaitable<T>> inner;
-
-  void Arm() {
-    if (chan.is_root()) {
-      // The root's own contribution is consumed during its rank-order
-      // window; outside it the send value is ignored.
-      const int window = idx / count;
-      const T s = window == chan.root_comm_rank() ? snd[idx - window * count]
-                                                  : T{};
-      inner.emplace(chan.Gather(s, &tmp));
-    } else {
-      inner.emplace(chan.Gather(snd[idx], static_cast<T*>(nullptr)));
-    }
-  }
-  bool TryComplete(sim::Cycle now) override {
-    if (idx == total) return true;
-    if (!inner) Arm();
-    if (inner->TryComplete(now)) {
-      if (chan.is_root()) rcv[idx] = tmp;
-      if (++idx == total) return true;
-      Arm();
-    }
-    return false;
-  }
-  std::string Describe() const override { return "MPI_Gather"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(&chan.app_in());
-    out.push_back(&chan.app_out());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-/// Barrier = one-element int Allreduce nobody reads. The members are
-/// declared before `inner` so its buffer pointers are valid; mandatory copy
-/// elision keeps them stable through the prvalue return.
-struct BarrierCall final : sim::detail::AwaitableBase<BarrierCall> {
-  explicit BarrierCall(core::AllreduceChannel chan)
-      : inner(std::move(chan), &snd, &rcv, 1) {}
-  std::int32_t snd = 0;
-  std::int32_t rcv = 0;
-  AllreduceCall<std::int32_t> inner;
-
-  bool TryComplete(sim::Cycle now) override { return inner.TryComplete(now); }
-  std::string Describe() const override { return "MPI_Barrier"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    inner.WatchFifos(out);
-  }
-  sim::Cycle NextPollCycle(sim::Cycle now) const override {
-    return inner.NextPollCycle(now);
-  }
-  void await_resume() const noexcept {}
-};
-
-}  // namespace detail
-
-inline detail::BarrierCall Comm::Barrier() {
+inline sim::Task Comm::Barrier() {
   const int port = ChoosePort(core::CollKind::kAllreduce, 1,
                               core::DataType::kInt);
   return detail::BarrierCall(ctx_->OpenAllreduceChannel(
@@ -508,38 +294,38 @@ inline void MPI_Comm_rank(const Comm& comm, int* rank) { *rank = comm.rank(); }
 inline void MPI_Comm_size(const Comm& comm, int* size) { *size = comm.size(); }
 
 template <typename T>
-detail::SendCall<T> MPI_Send(const T* buf, int count, int dest, Comm& comm) {
+sim::Task MPI_Send(const T* buf, int count, int dest, Comm& comm) {
   return comm.Send(buf, count, dest);
 }
 template <typename T>
-detail::RecvCall<T> MPI_Recv(T* buf, int count, int source, Comm& comm) {
+sim::Task MPI_Recv(T* buf, int count, int source, Comm& comm) {
   return comm.Recv(buf, count, source);
 }
 template <typename T>
-detail::BcastCall<T> MPI_Bcast(T* buf, int count, int root, Comm& comm) {
+sim::Task MPI_Bcast(T* buf, int count, int root, Comm& comm) {
   return comm.Bcast(buf, count, root);
 }
 template <typename T>
-detail::ReduceCall<T> MPI_Reduce(const T* snd, T* rcv, int count,
+sim::Task MPI_Reduce(const T* snd, T* rcv, int count,
                                  core::ReduceOp op, int root, Comm& comm) {
   return comm.Reduce(snd, rcv, count, op, root);
 }
 template <typename T>
-detail::AllreduceCall<T> MPI_Allreduce(const T* snd, T* rcv, int count,
+sim::Task MPI_Allreduce(const T* snd, T* rcv, int count,
                                        core::ReduceOp op, Comm& comm) {
   return comm.Allreduce(snd, rcv, count, op);
 }
 template <typename T>
-detail::ScatterCall<T> MPI_Scatter(const T* snd, T* rcv, int count, int root,
+sim::Task MPI_Scatter(const T* snd, T* rcv, int count, int root,
                                    Comm& comm) {
   return comm.Scatter(snd, rcv, count, root);
 }
 template <typename T>
-detail::GatherCall<T> MPI_Gather(const T* snd, T* rcv, int count, int root,
+sim::Task MPI_Gather(const T* snd, T* rcv, int count, int root,
                                  Comm& comm) {
   return comm.Gather(snd, rcv, count, root);
 }
-inline detail::BarrierCall MPI_Barrier(Comm& comm) { return comm.Barrier(); }
+inline sim::Task MPI_Barrier(Comm& comm) { return comm.Barrier(); }
 
 }  // namespace smi::mpi
 

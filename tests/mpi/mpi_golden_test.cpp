@@ -36,7 +36,7 @@ using sim::Kernel;
 using sim::SchedulerKind;
 
 constexpr int kRanks = 8;
-constexpr int kCount = 23;
+constexpr int kCount = 40;
 constexpr int kRoot = 5;
 
 enum class Call { kSendRecv, kBcast, kReduce, kAllreduce, kScatter, kGather,
@@ -174,26 +174,26 @@ TEST_P(MpiGolden, MatchesUnderSyncAndEventDriven) {
 INSTANTIATE_TEST_SUITE_P(
     Calls, MpiGolden,
     ::testing::Values(
-        GoldenRow{"SendRecvRing", Call::kSendRecv, CollAlgo::kLinear, 1465,
-                  15377516177792236321ull},
-        GoldenRow{"BcastLinear", Call::kBcast, CollAlgo::kLinear, 749,
-                  3308830595630760385ull},
-        GoldenRow{"BcastTree", Call::kBcast, CollAlgo::kTree, 884,
-                  17780872208683902650ull},
-        GoldenRow{"ReduceLinear", Call::kReduce, CollAlgo::kLinear, 1168,
-                  10790959666139138133ull},
-        GoldenRow{"ReduceTree", Call::kReduce, CollAlgo::kTree, 1388,
-                  9530725812758316998ull},
+        GoldenRow{"SendRecvRing", Call::kSendRecv, CollAlgo::kLinear, 1608,
+                  9171959179676823364ull},
+        GoldenRow{"BcastLinear", Call::kBcast, CollAlgo::kLinear, 778,
+                  11438404694980775194ull},
+        GoldenRow{"BcastTree", Call::kBcast, CollAlgo::kTree, 901,
+                  6210784130581361729ull},
+        GoldenRow{"ReduceLinear", Call::kReduce, CollAlgo::kLinear, 1954,
+                  16314479246704289526ull},
+        GoldenRow{"ReduceTree", Call::kReduce, CollAlgo::kTree, 2138,
+                  14080674293123450615ull},
         GoldenRow{"AllreduceLinear", Call::kAllreduce, CollAlgo::kLinear,
-                  16755, 2856839330358419310ull},
-        GoldenRow{"AllreduceTree", Call::kAllreduce, CollAlgo::kTree, 22190,
-                  11501631789637515482ull},
-        GoldenRow{"Scatter", Call::kScatter, CollAlgo::kLinear, 755,
-                  14228526119289285870ull},
-        GoldenRow{"Gather", Call::kGather, CollAlgo::kLinear, 3145,
-                  17720806925976350550ull},
+                  28933, 9798151985708518878ull},
+        GoldenRow{"AllreduceTree", Call::kAllreduce, CollAlgo::kTree,
+                  38568, 8246871456839858483ull},
+        GoldenRow{"Scatter", Call::kScatter, CollAlgo::kLinear, 880,
+                  513636387992553256ull},
+        GoldenRow{"Gather", Call::kGather, CollAlgo::kLinear, 3356,
+                  17675168709905556453ull},
         GoldenRow{"Barrier", Call::kBarrier, CollAlgo::kLinear, 1052,
-                  15221077960586619019ull}),
+                  11881267996228344523ull}),
     [](const ::testing::TestParamInfo<GoldenRow>& info) {
       return info.param.name;
     });
