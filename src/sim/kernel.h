@@ -154,13 +154,9 @@ class Task {
 
   explicit Task(std::coroutine_handle<promise_type> handle)
       : handle_(handle) {}
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
-  Task& operator=(Task&&) = delete;
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
-  ~Task() {
-    if (handle_) handle_.destroy();
-  }
+  ~Task() { handle_.destroy(); }
 
   bool await_ready() const noexcept { return false; }
   template <typename Promise>
