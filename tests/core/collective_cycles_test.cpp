@@ -2,7 +2,10 @@
 /// Golden cycle counts for every collective support kernel. Simulated cycles
 /// are deterministic, so a refactor of the support kernels that keeps their
 /// protocols must keep these numbers bit-identical; a deliberate protocol
-/// change updates the table and says which rows moved and why.
+/// change updates the table and says which rows moved and why. Each row also
+/// pins the kernel resumes (a change to an awaitable's wake hints can move
+/// them without moving cycles), the link packets and the exact checksum of
+/// the data every application received.
 ///
 /// Every row runs one channel open on a 2x4 torus with a count that crosses
 /// both packet boundaries and a credit-tile boundary (C = 16), at root 0 and
@@ -102,6 +105,9 @@ struct GoldenRow {
   CollAlgo algo;
   int root;
   sim::Cycle cycles;
+  std::uint64_t kernel_resumes;
+  std::uint64_t link_packets;
+  std::int64_t checksum;
 };
 
 void PrintTo(const GoldenRow& row, std::ostream* os) { *os << row.name; }
@@ -138,42 +144,50 @@ TEST_P(CollectiveCycles, MatchGolden) {
   }
   const RunResult result = cluster.Run();
   EXPECT_EQ(result.cycles, row.cycles) << row.name;
+  EXPECT_EQ(result.kernel_resumes, row.kernel_resumes) << row.name;
+  EXPECT_EQ(result.link_packets, row.link_packets) << row.name;
   std::int64_t total = 0;
   for (const std::int64_t c : checksums) total += c;
-  EXPECT_NE(total, 0) << row.name << ": no data reached any application";
+  EXPECT_EQ(total, row.checksum) << row.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Torus2x4, CollectiveCycles,
     ::testing::Values(
+        // name, kind, algo, root, cycles, kernel resumes, link packets,
+        // checksum
         GoldenRow{"BcastLinearRoot0", CollKind::kBcast, CollAlgo::kLinear, 0,
-                  766},
+                  766, 701, 84, 18720},
         GoldenRow{"BcastLinearRoot5", CollKind::kBcast, CollAlgo::kLinear, 5,
-                  773},
-        GoldenRow{"BcastTreeRoot0", CollKind::kBcast, CollAlgo::kTree, 0, 777},
-        GoldenRow{"BcastTreeRoot5", CollKind::kBcast, CollAlgo::kTree, 5, 890},
-        GoldenRow{"ReduceLinearRoot0", CollKind::kReduce, CollAlgo::kLinear,
-                  0, 1867},
-        GoldenRow{"ReduceLinearRoot5", CollKind::kReduce, CollAlgo::kLinear,
-                  5, 1867},
+                  773, 701, 84, 178720},
+        GoldenRow{"BcastTreeRoot0", CollKind::kBcast, CollAlgo::kTree, 0,
+                  777, 678, 63, 18720},
+        GoldenRow{"BcastTreeRoot5", CollKind::kBcast, CollAlgo::kTree, 5,
+                  890, 679, 70, 178720},
+        GoldenRow{"ReduceLinearRoot0", CollKind::kReduce, CollAlgo::kLinear, 0,
+                  1867, 2489, 120, 130720},
+        GoldenRow{"ReduceLinearRoot5", CollKind::kReduce, CollAlgo::kLinear, 5,
+                  1867, 2489, 120, 130720},
         GoldenRow{"ReduceTreeRoot0", CollKind::kReduce, CollAlgo::kTree, 0,
-                  1555},
+                  1555, 5825, 90, 130720},
         GoldenRow{"ReduceTreeRoot5", CollKind::kReduce, CollAlgo::kTree, 5,
-                  2063},
+                  2063, 7683, 100, 130720},
         GoldenRow{"ReduceInnetRoot0", CollKind::kReduce, CollAlgo::kInnet, 0,
-                  810},
+                  810, 6808, 102, 130720},
         GoldenRow{"ReduceInnetRoot5", CollKind::kReduce, CollAlgo::kInnet, 5,
-                  840},
+                  840, 7048, 111, 130720},
         GoldenRow{"ScatterRoot0", CollKind::kScatter, CollAlgo::kLinear, 0,
-                  789},
+                  789, 1225, 84, 153120},
         GoldenRow{"ScatterRoot5", CollKind::kScatter, CollAlgo::kLinear, 5,
-                  837},
-        GoldenRow{"GatherRoot0", CollKind::kGather, CollAlgo::kLinear, 0, 3219},
-        GoldenRow{"GatherRoot5", CollKind::kGather, CollAlgo::kLinear, 5, 3204},
-        GoldenRow{"AllreduceLinear", CollKind::kAllreduce, CollAlgo::kLinear,
-                  0, 28083},
+                  837, 1226, 84, 313120},
+        GoldenRow{"GatherRoot0", CollKind::kGather, CollAlgo::kLinear, 0,
+                  3219, 1224, 84, 130720},
+        GoldenRow{"GatherRoot5", CollKind::kGather, CollAlgo::kLinear, 5,
+                  3204, 1224, 84, 154720},
+        GoldenRow{"AllreduceLinear", CollKind::kAllreduce, CollAlgo::kLinear, 0,
+                  28083, 223596, 996, 1045760},
         GoldenRow{"AllreduceTree", CollKind::kAllreduce, CollAlgo::kTree, 0,
-                  37747}),
+                  37747, 300435, 747, 1045760}),
     [](const ::testing::TestParamInfo<GoldenRow>& info) {
       return info.param.name;
     });
