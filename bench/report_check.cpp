@@ -6,9 +6,17 @@
 ///
 /// Usage: report_check FILE [FILE...]; exits non-zero on the first invalid
 /// report.
+///
+///        report_check --compare BASELINE NEW; checks both reports, then
+/// matches their result rows by "name" and fails on a row missing from
+/// either side or on any change in simulated "cycles". Simulated cycles are
+/// deterministic, so a baseline pins the behaviour of a bench; the host
+/// wall-clock ratio NEW/BASELINE is printed per row but not gated, since it
+/// depends on the machine.
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "common/error.h"
@@ -151,7 +159,7 @@ void CheckInnet(const Value& in, const std::string& file) {
   }
 }
 
-void CheckReport(const std::string& file) {
+Value CheckReport(const std::string& file) {
   Value doc;
   try {
     doc = smi::json::ParseFile(file);
@@ -178,13 +186,72 @@ void CheckReport(const std::string& file) {
   if (doc.contains("scaleout")) CheckScaleout(doc.at("scaleout"), file);
   if (doc.contains("innet")) CheckInnet(doc.at("innet"), file);
   std::printf("%s: ok (%zu results)\n", file.c_str(), results.size());
+  return doc;
+}
+
+std::map<std::string, const Value*> RowsByName(const Value& doc,
+                                               const std::string& file) {
+  std::map<std::string, const Value*> rows;
+  for (const Value& row : doc.at("results").as_array()) {
+    const std::string& name = row.at("name").as_string();
+    Require(rows.emplace(name, &row).second, file,
+            "duplicate result row \"" + name + "\"");
+  }
+  return rows;
+}
+
+/// Returns the number of rows that are missing or moved.
+int Compare(const std::string& base_file, const std::string& new_file) {
+  const Value base_doc = CheckReport(base_file);
+  const Value new_doc = CheckReport(new_file);
+  const auto base = RowsByName(base_doc, base_file);
+  const auto fresh = RowsByName(new_doc, new_file);
+  int failures = 0;
+  for (const auto& [name, row] : base) {
+    const auto it = fresh.find(name);
+    if (it == fresh.end()) {
+      std::printf("  %-28s missing from %s\n", name.c_str(), new_file.c_str());
+      ++failures;
+      continue;
+    }
+    const double cycles = row->at("cycles").as_double();
+    const double new_cycles = it->second->at("cycles").as_double();
+    const double wall = row->at("wall_seconds").as_double();
+    const double new_wall = it->second->at("wall_seconds").as_double();
+    const bool moved = cycles != new_cycles;
+    if (moved) ++failures;
+    std::printf("  %-28s cycles %.0f -> %.0f%s  wall x%.2f\n", name.c_str(),
+                cycles, new_cycles, moved ? "  CHANGED" : "",
+                wall > 0.0 ? new_wall / wall : 0.0);
+  }
+  for (const auto& [name, row] : fresh) {
+    if (base.count(name) == 0) {
+      std::printf("  %-28s missing from %s\n", name.c_str(),
+                  base_file.c_str());
+      ++failures;
+    }
+  }
+  std::printf("%s vs %s: %s (%d of %zu rows missing or changed)\n",
+              new_file.c_str(), base_file.c_str(),
+              failures == 0 ? "same cycles" : "DIFFERENT", failures,
+              base.size());
+  return failures;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc >= 2 && std::string(argv[1]) == "--compare") {
+    if (argc != 4) {
+      std::fprintf(stderr, "usage: report_check --compare BASELINE NEW\n");
+      return 2;
+    }
+    return Compare(argv[2], argv[3]) == 0 ? 0 : 1;
+  }
   if (argc < 2) {
-    std::fprintf(stderr, "usage: report_check FILE [FILE...]\n");
+    std::fprintf(stderr,
+                 "usage: report_check FILE [FILE...]\n"
+                 "       report_check --compare BASELINE NEW\n");
     return 2;
   }
   for (int i = 1; i < argc; ++i) CheckReport(argv[i]);

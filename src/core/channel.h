@@ -292,89 +292,79 @@ bool RecvChannel::TryPopPacket(sim::Cycle now, T* out, int& n_out) {
 
 namespace detail {
 
-template <typename T>
-struct PushAwaitable final : sim::detail::AwaitableBase<PushAwaitable<T>> {
-  PushAwaitable(SendChannel* c, const T& v) : chan(c), value(v) {}
-  SendChannel* chan;
-  T value;
-  bool TryComplete(sim::Cycle now) override {
-    return chan->TryPush(now, value);
-  }
+/// What the four p2p awaitables share: each names its call and port in a
+/// deadlock report, waits on its channel's endpoint FIFO, and re-polls next
+/// cycle after the channel's one operation of this cycle (the II=1 guard,
+/// the only failure that clears without endpoint-FIFO activity).
+template <typename Derived, typename Channel>
+struct ChannelAwaitable : sim::detail::AwaitableBase<Derived> {
+  explicit ChannelAwaitable(Channel* c) : chan(c) {}
+  Channel* chan;
   std::string Describe() const override {
-    return "SMI_Push on port " + std::to_string(chan->port());
+    return std::string(Derived::kCall) + " on port " +
+           std::to_string(chan->port());
   }
   void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
     out.push_back(chan->endpoint_fifo());
   }
   sim::Cycle NextPollCycle(sim::Cycle now) const override {
     return chan->OpThisCycle(now) ? now + 1 : sim::kNeverCycle;
+  }
+};
+
+template <typename T>
+struct PushAwaitable final
+    : ChannelAwaitable<PushAwaitable<T>, SendChannel> {
+  static constexpr const char* kCall = "SMI_Push";
+  PushAwaitable(SendChannel* c, const T& v)
+      : ChannelAwaitable<PushAwaitable<T>, SendChannel>(c), value(v) {}
+  T value;
+  bool TryComplete(sim::Cycle now) override {
+    return this->chan->TryPush(now, value);
   }
   void await_resume() const noexcept {}
 };
 
 template <typename T>
-struct PopAwaitable final : sim::detail::AwaitableBase<PopAwaitable<T>> {
-  explicit PopAwaitable(RecvChannel* c) : chan(c) {}
-  RecvChannel* chan;
+struct PopAwaitable final : ChannelAwaitable<PopAwaitable<T>, RecvChannel> {
+  static constexpr const char* kCall = "SMI_Pop";
+  explicit PopAwaitable(RecvChannel* c)
+      : ChannelAwaitable<PopAwaitable<T>, RecvChannel>(c) {}
   T value{};
-  bool TryComplete(sim::Cycle now) override { return chan->TryPop(now, value); }
-  std::string Describe() const override {
-    return "SMI_Pop on port " + std::to_string(chan->port());
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(chan->endpoint_fifo());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle now) const override {
-    return chan->OpThisCycle(now) ? now + 1 : sim::kNeverCycle;
+  bool TryComplete(sim::Cycle now) override {
+    return this->chan->TryPop(now, value);
   }
   T await_resume() noexcept { return value; }
 };
 
 template <typename T>
 struct PushPacketAwaitable final
-    : sim::detail::AwaitableBase<PushPacketAwaitable<T>> {
+    : ChannelAwaitable<PushPacketAwaitable<T>, SendChannel> {
+  static constexpr const char* kCall = "SMI_Push (wide)";
   PushPacketAwaitable(SendChannel* c, const T* vals, int count)
-      : chan(c), n(count) {
+      : ChannelAwaitable<PushPacketAwaitable<T>, SendChannel>(c), n(count) {
     for (int i = 0; i < count; ++i) {
       values[static_cast<std::size_t>(i)] = vals[i];
     }
   }
-  SendChannel* chan;
   std::array<T, net::kPayloadBytes / sizeof(T)> values{};
   int n;
   bool TryComplete(sim::Cycle now) override {
-    return chan->TryPushPacket(now, values.data(), n);
-  }
-  std::string Describe() const override {
-    return "SMI_Push (wide) on port " + std::to_string(chan->port());
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(chan->endpoint_fifo());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle now) const override {
-    return chan->OpThisCycle(now) ? now + 1 : sim::kNeverCycle;
+    return this->chan->TryPushPacket(now, values.data(), n);
   }
   void await_resume() const noexcept {}
 };
 
 template <typename T>
 struct PopPacketAwaitable final
-    : sim::detail::AwaitableBase<PopPacketAwaitable<T>> {
-  explicit PopPacketAwaitable(RecvChannel* c) : chan(c) {}
-  RecvChannel* chan;
+    : ChannelAwaitable<PopPacketAwaitable<T>, RecvChannel> {
+  static constexpr const char* kCall = "SMI_Pop (wide)";
+  explicit PopPacketAwaitable(RecvChannel* c)
+      : ChannelAwaitable<PopPacketAwaitable<T>, RecvChannel>(c) {}
   std::array<T, net::kPayloadBytes / sizeof(T)> values{};
   int n = 0;
   bool TryComplete(sim::Cycle now) override {
-    return chan->TryPopPacket(now, values.data(), n);
-  }
-  std::string Describe() const override {
-    return "SMI_Pop (wide) on port " + std::to_string(chan->port());
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    out.push_back(chan->endpoint_fifo());
-  }
-  sim::Cycle NextPollCycle(sim::Cycle now) const override {
-    return chan->OpThisCycle(now) ? now + 1 : sim::kNeverCycle;
+    return this->chan->TryPopPacket(now, values.data(), n);
   }
   /// Returns (pointer, count); the data lives in the awaitable frame.
   std::pair<const T*, int> await_resume() noexcept {

@@ -15,6 +15,11 @@
 /// one (Bcast, Reduce), and the documented asymmetric sequences for Scatter
 /// and Gather (the root streams count*comm_size elements, non-roots stream
 /// count).
+///
+/// Every primitive has the same shape: the rank may hand one element to its
+/// support kernel and may take one result back. Each channel method decides
+/// which of the two its call does and returns the one awaitable,
+/// detail::CollCall.
 
 #include <string>
 
@@ -24,6 +29,10 @@
 #include "sim/kernel.h"
 
 namespace smi::core {
+
+namespace detail {
+template <typename T> struct CollCall;
+}  // namespace detail
 
 /// Base for all collective channels: owns the config token and the FIFOs to
 /// the support kernel.
@@ -85,13 +94,17 @@ class CollChannelBase {
     }
   }
 
-  Element PopElement(sim::Cycle now) {
-    CollToken tok = app_out_->Pop(now);
-    if (!std::holds_alternative<Element>(tok)) {
-      throw ConfigError("collective channel received a non-element token");
-    }
-    return std::get<Element>(tok);
+  /// One primitive call: it sends a copy of `snd` if `sends`, and pops a
+  /// result into *rcv if `receives`.
+  template <typename T>
+  detail::CollCall<T> Call(bool sends, const T& snd, bool receives, T* rcv) {
+    CheckType<T>();
+    return detail::CollCall<T>(this, sends, snd, receives, rcv);
   }
+
+  /// Scatter and Gather: true while the root's calls serve its own segment
+  /// (the root makes count calls per communicator rank, in rank order).
+  bool InRootWindow() const { return calls_ / count() == config_.root_comm; }
 
   CollConfig config_;
   TokenFifo* app_in_;
@@ -99,15 +112,18 @@ class CollChannelBase {
   int my_comm_;
   bool config_sent_ = false;
   int calls_ = 0;
-};
 
-namespace detail {
-template <typename T> struct BcastAwaitable;
-template <typename T> struct ReduceAwaitable;
-template <typename T> struct ScatterAwaitable;
-template <typename T> struct GatherAwaitable;
-template <typename T> struct AllreduceAwaitable;
-}  // namespace detail
+ private:
+  template <typename T> friend struct detail::CollCall;
+
+  Element PopElement(sim::Cycle now) {
+    CollToken tok = app_out_->Pop(now);
+    if (!std::holds_alternative<Element>(tok)) {
+      throw ConfigError("collective channel received a non-element token");
+    }
+    return std::get<Element>(tok);
+  }
+};
 
 /// SMI_BChannel: the root streams `count` elements to every other rank in
 /// the communicator; every rank calls Bcast exactly `count` times.
@@ -118,13 +134,9 @@ class BcastChannel : public CollChannelBase {
   /// SMI_Bcast: the root pushes *data toward the other ranks; non-roots
   /// receive into *data.
   template <typename T>
-  detail::BcastAwaitable<T> Bcast(T& data) {
-    CheckType<T>();
-    return detail::BcastAwaitable<T>(this, &data);
+  detail::CollCall<T> Bcast(T& data) {
+    return Call(is_root(), data, !is_root(), &data);
   }
-
- private:
-  template <typename T> friend struct detail::BcastAwaitable;
 };
 
 /// SMI_RChannel: every rank contributes `count` elements; the reduced
@@ -138,13 +150,9 @@ class ReduceChannel : public CollChannelBase {
   /// element-wise reduction across all ranks. Non-roots leave *data_rcv
   /// untouched.
   template <typename T>
-  detail::ReduceAwaitable<T> Reduce(const T& data_snd, T& data_rcv) {
-    CheckType<T>();
-    return detail::ReduceAwaitable<T>(this, data_snd, &data_rcv);
+  detail::CollCall<T> Reduce(const T& data_snd, T& data_rcv) {
+    return Call(true, data_snd, is_root(), &data_rcv);
   }
-
- private:
-  template <typename T> friend struct detail::ReduceAwaitable;
 };
 
 /// Scatter: the root streams count*comm_size elements (its own segment
@@ -157,13 +165,10 @@ class ScatterChannel : public CollChannelBase {
   using CollChannelBase::CollChannelBase;
 
   template <typename T>
-  detail::ScatterAwaitable<T> Scatter(const T* snd, T& rcv) {
-    CheckType<T>();
-    return detail::ScatterAwaitable<T>(this, snd, &rcv);
+  detail::CollCall<T> Scatter(const T* snd, T& rcv) {
+    return Call(is_root(), snd ? *snd : T{}, !is_root() || InRootWindow(),
+                &rcv);
   }
-
- private:
-  template <typename T> friend struct detail::ScatterAwaitable;
 };
 
 /// Gather: non-roots stream count elements to the root; the root receives
@@ -177,13 +182,9 @@ class GatherChannel : public CollChannelBase {
   using CollChannelBase::CollChannelBase;
 
   template <typename T>
-  detail::GatherAwaitable<T> Gather(const T& snd, T* rcv) {
-    CheckType<T>();
-    return detail::GatherAwaitable<T>(this, snd, rcv);
+  detail::CollCall<T> Gather(const T& snd, T* rcv) {
+    return Call(!is_root() || InRootWindow(), snd, is_root(), rcv);
   }
-
- private:
-  template <typename T> friend struct detail::GatherAwaitable;
 };
 
 /// Allreduce: every rank contributes `count` elements and every rank
@@ -197,226 +198,56 @@ class AllreduceChannel : public CollChannelBase {
   /// Sends data_snd; *data_rcv receives the element-wise reduction across
   /// all ranks (written on every rank, unlike Reduce).
   template <typename T>
-  detail::AllreduceAwaitable<T> Allreduce(const T& data_snd, T& data_rcv) {
-    CheckType<T>();
-    return detail::AllreduceAwaitable<T>(this, data_snd, &data_rcv);
+  detail::CollCall<T> Allreduce(const T& data_snd, T& data_rcv) {
+    return Call(true, data_snd, true, &data_rcv);
   }
-
- private:
-  template <typename T> friend struct detail::AllreduceAwaitable;
 };
-
-// ---------------------------------------------------------------------------
-// Awaitables
-// ---------------------------------------------------------------------------
 
 namespace detail {
 
-/// Wake-hint mixin shared by the collective awaitables: every failure path
-/// in their TryComplete is a CanPush on app_in or a CanPop on app_out, so
-/// watching those two FIFOs is sufficient and no timed poll is needed.
-template <typename Channel>
-struct CollWakeHints {
-  static void Watch(Channel* chan,
-                    std::vector<const sim::FifoBase*>& out) {
+/// The awaitable of every collective call: pushes this rank's element to the
+/// support kernel if the call sends one, then pops a result into *rcv if it
+/// receives one. Every way it can fail is a CanPush on app_in or a CanPop on
+/// app_out, so watching those two FIFOs is enough and no timed poll is
+/// needed. `co_await` yields true if *rcv was written.
+template <typename T>
+struct CollCall final : sim::detail::AwaitableBase<CollCall<T>> {
+  CollCall(CollChannelBase* c, bool s, const T& v, bool r, T* out)
+      : chan(c), sends(s), receives(r), snd(v), rcv(out) {}
+  CollChannelBase* chan;
+  bool sends;
+  bool receives;
+  T snd;
+  T* rcv;
+  bool pushed = false;
+
+  bool TryComplete(sim::Cycle now) override {
+    if (!chan->EnsureConfigSent(now)) return false;
+    if (sends && !pushed) {
+      if (!chan->app_in().CanPush(now)) return false;
+      chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
+      pushed = true;
+    }
+    if (receives) {
+      if (!chan->app_out().CanPop(now)) return false;
+      *rcv = chan->PopElement(now).As<T>();
+    }
+    ++chan->calls_;
+    return true;
+  }
+  std::string Describe() const override {
+    return std::string("SMI_") + CollKindName(chan->config_.kind) + " (" +
+           (chan->is_root() ? "root" : "non-root") +
+           (sends && !pushed ? ", sending)" : ", awaiting result)");
+  }
+  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
     out.push_back(&chan->app_in());
     out.push_back(&chan->app_out());
   }
-};
-
-template <typename T>
-struct BcastAwaitable final : sim::detail::AwaitableBase<BcastAwaitable<T>> {
-  BcastAwaitable(BcastChannel* c, T* d) : chan(c), data(d) {}
-  BcastChannel* chan;
-  T* data;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (!chan->EnsureConfigSent(now)) return false;
-    if (chan->is_root()) {
-      if (!chan->app_in().CanPush(now)) return false;
-      chan->app_in().Push(CollToken(Element::Of<T>(*data)), now);
-    } else {
-      if (!chan->app_out().CanPop(now)) return false;
-      *data = chan->PopElement(now).As<T>();
-    }
-    ++chan->calls_;
-    return true;
-  }
-  std::string Describe() const override {
-    return std::string("SMI_Bcast (") + (chan->is_root() ? "root" : "leaf") +
-           ")";
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<BcastChannel>::Watch(chan, out);
-  }
   sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
     return sim::kNeverCycle;
   }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct ReduceAwaitable final
-    : sim::detail::AwaitableBase<ReduceAwaitable<T>> {
-  ReduceAwaitable(ReduceChannel* c, const T& s, T* r)
-      : chan(c), snd(s), rcv(r) {}
-  ReduceChannel* chan;
-  T snd;
-  T* rcv;
-  bool pushed = false;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (!chan->EnsureConfigSent(now)) return false;
-    if (!pushed) {
-      if (!chan->app_in().CanPush(now)) return false;
-      chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
-      pushed = true;
-    }
-    if (chan->is_root()) {
-      if (!chan->app_out().CanPop(now)) return false;
-      *rcv = chan->PopElement(now).As<T>();
-    }
-    ++chan->calls_;
-    return true;
-  }
-  std::string Describe() const override {
-    return std::string("SMI_Reduce (") + (chan->is_root() ? "root" : "leaf") +
-           (pushed ? ", awaiting result)" : ", sending)");
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<ReduceChannel>::Watch(chan, out);
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
-};
-
-template <typename T>
-struct ScatterAwaitable final
-    : sim::detail::AwaitableBase<ScatterAwaitable<T>> {
-  ScatterAwaitable(ScatterChannel* c, const T* s, T* r)
-      : chan(c), snd(s ? *s : T{}), rcv(r) {}
-  ScatterChannel* chan;
-  T snd;
-  T* rcv;
-  bool pushed = false;
-  bool received = false;
-
-  bool InRootWindow() const {
-    const int serving = chan->calls_ / chan->count();
-    return serving == chan->root_comm_rank();
-  }
-
-  bool TryComplete(sim::Cycle now) override {
-    if (!chan->EnsureConfigSent(now)) return false;
-    if (chan->is_root()) {
-      if (!pushed) {
-        if (!chan->app_in().CanPush(now)) return false;
-        chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
-        pushed = true;
-      }
-      if (InRootWindow()) {
-        if (!chan->app_out().CanPop(now)) return false;
-        *rcv = chan->PopElement(now).As<T>();
-        received = true;
-      }
-    } else {
-      if (!chan->app_out().CanPop(now)) return false;
-      *rcv = chan->PopElement(now).As<T>();
-      received = true;
-    }
-    ++chan->calls_;
-    return true;
-  }
-  std::string Describe() const override { return "SMI Scatter"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<ScatterChannel>::Watch(chan, out);
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  /// True if *rcv was written by this call.
-  bool await_resume() const noexcept { return received; }
-};
-
-template <typename T>
-struct GatherAwaitable final
-    : sim::detail::AwaitableBase<GatherAwaitable<T>> {
-  GatherAwaitable(GatherChannel* c, const T& s, T* r)
-      : chan(c), snd(s), rcv(r) {}
-  GatherChannel* chan;
-  T snd;
-  T* rcv;
-  bool pushed = false;
-  bool received = false;
-
-  bool InRootWindow() const {
-    const int serving = chan->calls_ / chan->count();
-    return serving == chan->root_comm_rank();
-  }
-
-  bool TryComplete(sim::Cycle now) override {
-    if (!chan->EnsureConfigSent(now)) return false;
-    if (chan->is_root()) {
-      if (InRootWindow() && !pushed) {
-        if (!chan->app_in().CanPush(now)) return false;
-        chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
-        pushed = true;
-      }
-      if (!chan->app_out().CanPop(now)) return false;
-      *rcv = chan->PopElement(now).As<T>();
-      received = true;
-    } else {
-      if (!chan->app_in().CanPush(now)) return false;
-      chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
-    }
-    ++chan->calls_;
-    return true;
-  }
-  std::string Describe() const override { return "SMI Gather"; }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<GatherChannel>::Watch(chan, out);
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  bool await_resume() const noexcept { return received; }
-};
-
-template <typename T>
-struct AllreduceAwaitable final
-    : sim::detail::AwaitableBase<AllreduceAwaitable<T>> {
-  AllreduceAwaitable(AllreduceChannel* c, const T& s, T* r)
-      : chan(c), snd(s), rcv(r) {}
-  AllreduceChannel* chan;
-  T snd;
-  T* rcv;
-  bool pushed = false;
-
-  bool TryComplete(sim::Cycle now) override {
-    if (!chan->EnsureConfigSent(now)) return false;
-    if (!pushed) {
-      if (!chan->app_in().CanPush(now)) return false;
-      chan->app_in().Push(CollToken(Element::Of<T>(snd)), now);
-      pushed = true;
-    }
-    if (!chan->app_out().CanPop(now)) return false;
-    *rcv = chan->PopElement(now).As<T>();
-    ++chan->calls_;
-    return true;
-  }
-  std::string Describe() const override {
-    return std::string("SMI_Allreduce") +
-           (pushed ? " (awaiting result)" : " (sending)");
-  }
-  void WatchFifos(std::vector<const sim::FifoBase*>& out) const override {
-    CollWakeHints<AllreduceChannel>::Watch(chan, out);
-  }
-  sim::Cycle NextPollCycle(sim::Cycle /*now*/) const override {
-    return sim::kNeverCycle;
-  }
-  void await_resume() const noexcept {}
+  bool await_resume() const noexcept { return receives; }
 };
 
 }  // namespace detail

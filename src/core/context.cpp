@@ -41,96 +41,90 @@ const Context::CollPort& Context::FindCollPort(int port, CollKind kind,
   return it->second;
 }
 
-CollConfig Context::MakeCollConfig(CollKind kind, int count, DataType type,
-                                   int port, int root,
-                                   const Communicator& comm,
-                                   int credits) const {
-  (void)port;
+template <typename Channel>
+Channel Context::OpenCollChannel(CollKind kind, int count, DataType type,
+                                 int port, int root, const Communicator& comm,
+                                 ReduceOp op, int credits) {
+  const CollPort& cp = FindCollPort(port, kind, type);
   CollConfig cfg;
   cfg.kind = kind;
   cfg.count = count;
   cfg.type = type;
   cfg.root_comm = root;
+  cfg.op = op;
   cfg.credits = credits;
   cfg.comm_global = comm.global_ranks();
-  return cfg;
+  // Only Reduce ports are built in-network (MakeSupportKernel).
+  if (cp.algo == CollAlgo::kInnet) ConfigureInnetReduce(cp, port, comm, cfg);
+  return Channel(std::move(cfg), rank_, *cp.app_in, *cp.app_out);
+}
+
+void Context::ConfigureInnetReduce(const CollPort& cp, int port,
+                                   const Communicator& comm,
+                                   CollConfig& cfg) const {
+  // An in-network reduce bakes its fold function and credit fan tree into
+  // the fabric's handler tables; the open must match them.
+  if (cfg.op != cp.innet_op) {
+    throw ConfigError(std::string("in-network reduce on port ") +
+                      std::to_string(port) + " was built for " +
+                      ReduceOpName(cp.innet_op) + ", opened with " +
+                      ReduceOpName(cfg.op));
+  }
+  const int root_global = comm.GlobalRank(cfg.root_comm);
+  if (root_global != cp.innet_root_global) {
+    throw ConfigError(
+        "in-network reduce on port " + std::to_string(port) +
+        " has its fan tree rooted at global rank " +
+        std::to_string(cp.innet_root_global) +
+        "; re-target with Cluster::ConfigureInnetHandlers before opening "
+        "toward global rank " + std::to_string(root_global));
+  }
+  if (comm.global_ranks() != cp.innet_comm) {
+    throw ConfigError(
+        "in-network reduce on port " + std::to_string(port) +
+        " opened with a communicator that does not match its configured "
+        "handler tables (Cluster::ConfigureInnetHandlers)");
+  }
+  cfg.pace_wait = cp.innet_pace_wait;
+  cfg.window_cycles = cp.innet_rtt;
 }
 
 BcastChannel Context::OpenBcastChannel(int count, DataType type, int port,
                                        int root, const Communicator& comm) {
-  const CollPort& cp = FindCollPort(port, CollKind::kBcast, type);
-  return BcastChannel(
-      MakeCollConfig(CollKind::kBcast, count, type, port, root, comm, 0),
-      rank_, *cp.app_in, *cp.app_out);
+  return OpenCollChannel<BcastChannel>(CollKind::kBcast, count, type, port,
+                                       root, comm);
 }
 
 ReduceChannel Context::OpenReduceChannel(int count, DataType type, ReduceOp op,
                                          int port, int root,
                                          const Communicator& comm,
                                          int credits) {
-  const CollPort& cp = FindCollPort(port, CollKind::kReduce, type);
-  // An in-network reduce bakes its fold function and credit fan tree into
-  // the fabric's handler tables; the open must match them.
-  if (cp.algo == CollAlgo::kInnet) {
-    if (op != cp.innet_op) {
-      throw ConfigError(std::string("in-network reduce on port ") +
-                        std::to_string(port) + " was built for " +
-                        ReduceOpName(cp.innet_op) + ", opened with " +
-                        ReduceOpName(op));
-    }
-    if (comm.GlobalRank(root) != cp.innet_root_global) {
-      throw ConfigError(
-          "in-network reduce on port " + std::to_string(port) +
-          " has its fan tree rooted at global rank " +
-          std::to_string(cp.innet_root_global) +
-          "; re-target with Cluster::ConfigureInnetHandlers before opening "
-          "toward global rank " + std::to_string(comm.GlobalRank(root)));
-    }
-    if (comm.global_ranks() != cp.innet_comm) {
-      throw ConfigError(
-          "in-network reduce on port " + std::to_string(port) +
-          " opened with a communicator that does not match its configured "
-          "handler tables (Cluster::ConfigureInnetHandlers)");
-    }
-  }
-  CollConfig cfg =
-      MakeCollConfig(CollKind::kReduce, count, type, port, root, comm, credits);
-  cfg.op = op;
-  if (cp.algo == CollAlgo::kInnet) {
-    cfg.pace_wait = cp.innet_pace_wait;
-    cfg.window_cycles = cp.innet_rtt;
-  }
-  return ReduceChannel(std::move(cfg), rank_, *cp.app_in, *cp.app_out);
+  return OpenCollChannel<ReduceChannel>(CollKind::kReduce, count, type, port,
+                                        root, comm, op, credits);
 }
 
 AllreduceChannel Context::OpenAllreduceChannel(int count, DataType type,
                                                ReduceOp op, int port,
                                                const Communicator& comm,
                                                int credits) {
-  const CollPort& cp = FindCollPort(port, CollKind::kAllreduce, type);
   // Rootless at the API level; the kernel's reduce/broadcast tree is rooted
   // at communicator rank 0 as an implementation detail.
-  CollConfig cfg = MakeCollConfig(CollKind::kAllreduce, count, type, port,
-                                  /*root=*/0, comm, credits);
-  cfg.op = op;
-  return AllreduceChannel(std::move(cfg), rank_, *cp.app_in, *cp.app_out);
+  return OpenCollChannel<AllreduceChannel>(CollKind::kAllreduce, count, type,
+                                           port, /*root=*/0, comm, op,
+                                           credits);
 }
 
 ScatterChannel Context::OpenScatterChannel(int count, DataType type, int port,
                                            int root,
                                            const Communicator& comm) {
-  const CollPort& cp = FindCollPort(port, CollKind::kScatter, type);
-  return ScatterChannel(
-      MakeCollConfig(CollKind::kScatter, count, type, port, root, comm, 0),
-      rank_, *cp.app_in, *cp.app_out);
+  return OpenCollChannel<ScatterChannel>(CollKind::kScatter, count, type,
+                                         port, root, comm);
 }
 
 GatherChannel Context::OpenGatherChannel(int count, DataType type, int port,
                                          int root, const Communicator& comm) {
-  const CollPort& cp = FindCollPort(port, CollKind::kGather, type);
-  return GatherChannel(
-      MakeCollConfig(CollKind::kGather, count, type, port, root, comm, 0),
-      rank_, *cp.app_in, *cp.app_out);
+  return OpenCollChannel<GatherChannel>(CollKind::kGather, count, type, port,
+                                        root, comm);
 }
 
 sim::MemoryBank& Context::memory_bank(int index) {

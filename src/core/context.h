@@ -100,9 +100,16 @@ class Context {
   };
 
   const CollPort& FindCollPort(int port, CollKind kind, DataType type) const;
-  CollConfig MakeCollConfig(CollKind kind, int count, DataType type, int port,
-                            int root, const Communicator& comm,
-                            int credits) const;
+  /// The one collective channel-open path: finds the port's support kernel
+  /// and builds the config token the channel announces to it.
+  template <typename Channel>
+  Channel OpenCollChannel(CollKind kind, int count, DataType type, int port,
+                          int root, const Communicator& comm,
+                          ReduceOp op = ReduceOp::kAdd, int credits = 0);
+  /// In-network Reduce opens: checks `cfg` against the installed handler
+  /// tables and copies in the port's stream pacing.
+  void ConfigureInnetReduce(const CollPort& cp, int port,
+                            const Communicator& comm, CollConfig& cfg) const;
 
   int rank_ = 0;
   Communicator world_ = Communicator::World(1);

@@ -1,6 +1,4 @@
 #include <algorithm>
-#include <map>
-#include <vector>
 
 #include "core/coll_tree.h"
 #include "core/support_internal.h"
@@ -34,19 +32,23 @@ const char* CollKindName(CollKind k) {
 // ---------------------------------------------------------------------------
 // The shared streaming loops (support_internal.h).
 // ---------------------------------------------------------------------------
-sim::Task StreamElements(const OpenCtx& op, int dst, int n) {
+sim::Task StreamElements(const OpenCtx& op, std::span<const int> dsts,
+                         int n) {
   const int epp = static_cast<int>(ElementsPerPacket(op.cfg.type));
   const std::size_t esz = SizeOf(op.cfg.type);
   for (int sent = 0; sent < n;) {
     const int chunk = std::min(epp, n - sent);
-    Packet data = MakeSync(op.io, dst, OpType::kData);
+    Packet data = MakeSync(op.io, op.io.my_global, OpType::kData);
     for (int e = 0; e < chunk; ++e) {
       PackElement(data, e,
                   GetElement(co_await fifo_pop(*op.io.app_in), op.kernel),
                   esz);
     }
     data.hdr.count = static_cast<std::uint8_t>(chunk);
-    co_await fifo_push(*op.io.net_out, data);
+    for (const int dst : dsts) {
+      data.hdr.dst = static_cast<std::uint16_t>(dst);
+      co_await fifo_push(*op.io.net_out, data);
+    }
     sent += chunk;
   }
 }
@@ -92,11 +94,11 @@ sim::Task AwaitReady(const OpenCtx& op, ReadyLedger& ledger, int g) {
 // ---------------------------------------------------------------------------
 // Bcast (§4.4) over a CollTree: every non-root sends READY to its parent,
 // and a node streams to a child only after that child's READY (one-to-all
-// rendezvous). The root assembles each packet from its application's
-// elements; every other node receives it from its parent and delivers its
-// elements locally. Each node then forwards the packet to its children —
-// under the flat tree of kLinear, the root replicating every packet to all
-// n-1 peers in communicator order.
+// rendezvous). The root packs its application's elements into packets and
+// sends each packet to all of its children (StreamElements); every other
+// node receives each packet from its parent, delivers its elements locally
+// and forwards it to its children. Under the flat tree of kLinear, the root
+// replicates every packet to all n-1 peers in communicator order.
 // ---------------------------------------------------------------------------
 Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
   ReadyLedger readies;
@@ -107,7 +109,6 @@ Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
     const OpenCtx op{ctx, cfg, "BcastSupport"};
     const CollTree tree(cfg, MyCommRank(cfg, ctx.my_global, "BcastSupport"),
                         algo);
-    const int epp = static_cast<int>(ElementsPerPacket(cfg.type));
     const std::size_t esz = SizeOf(cfg.type);
 
     if (!tree.is_root()) {
@@ -120,19 +121,11 @@ Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
       co_await AwaitReady(op, readies, child);
     }
 
-    int done = 0;
-    while (done < cfg.count) {
-      Packet data = MakeSync(ctx, ctx.my_global, OpType::kData);
-      if (tree.is_root()) {
-        const int chunk = std::min(epp, cfg.count - done);
-        for (int e = 0; e < chunk; ++e) {
-          PackElement(data, e,
-                      GetElement(co_await fifo_pop(*ctx.app_in),
-                                 "BcastSupport"),
-                      esz);
-        }
-        data.hdr.count = static_cast<std::uint8_t>(chunk);
-      } else {
+    if (tree.is_root()) {
+      co_await StreamElements(op, tree.children, cfg.count);
+    } else {
+      for (int done = 0; done < cfg.count;) {
+        Packet data;
         if (!readies.TakeHeld(data)) data = co_await fifo_pop(*ctx.net_in);
         if (data.hdr.op != OpType::kData) {
           throw ConfigError("BcastSupport: unexpected packet: " +
@@ -143,12 +136,12 @@ Kernel BcastSupportKernel(SupportCtx ctx, CollAlgo algo) {
                              CollToken(UnpackElement(data, e, esz)));
         }
         data.hdr.src = static_cast<std::uint16_t>(ctx.my_global);
+        for (const int child : tree.children) {
+          data.hdr.dst = static_cast<std::uint16_t>(child);
+          co_await fifo_push(*ctx.net_out, data);
+        }
+        done += data.hdr.count;
       }
-      for (const int child : tree.children) {
-        data.hdr.dst = static_cast<std::uint16_t>(child);
-        co_await fifo_push(*ctx.net_out, data);
-      }
-      done += data.hdr.count;
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close
   }
@@ -192,7 +185,7 @@ Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
                               credit.DebugString());
           }
         }
-        co_await StreamElements(op, tree.parent,
+        co_await StreamElements(op, {&tree.parent, 1},
                                 std::min(C, cfg.count - sent));
       }
       NotifyCollectiveSyncPoint(ctx);  // channel close
@@ -200,12 +193,9 @@ Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
     }
 
     FoldWindow window(cfg, C, 1 + static_cast<int>(tree.children.size()));
-    std::map<int, int> child_next;  // per child global rank: next element
-    for (const int child : tree.children) child_next[child] = 0;
+    ChildCredits credits(cfg, tree.children, C);  // tile 0 implicit
     int emitted = 0;         // elements delivered to app (root) or parent
-    int granted_tiles = 1;   // tile 0 is implicitly granted at open
     int parent_credits = 1;  // tiles the parent granted (inner nodes)
-    std::vector<int> pending_credits;  // child global ranks to credit
     Packet out = MakeSync(ctx, tree.parent, OpType::kData);
     int out_fill = 0;
 
@@ -239,14 +229,7 @@ Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
         }
         if (advanced) {
           window.Retire(emitted);
-          ++emitted;
-          // Tile boundary: grant the next tile if one remains.
-          if (emitted % C == 0 && granted_tiles * C < cfg.count) {
-            ++granted_tiles;
-            pending_credits.insert(pending_credits.end(),
-                                   tree.children.begin(),
-                                   tree.children.end());
-          }
+          credits.Emitted(++emitted);
         }
       }
       // (2) Fold one local element within the window.
@@ -254,30 +237,15 @@ Kernel ReduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
       // (3) Fold one incoming packet (child partials or parent credit).
       if (ctx.net_in->CanPop(now)) {
         const Packet p = ctx.net_in->Pop(now);
-        const auto it = child_next.find(p.hdr.src);
         if (p.hdr.op == OpType::kCredit && !tree.is_root()) {
           ++parent_credits;
-        } else if (p.hdr.op == OpType::kData && it != child_next.end()) {
-          for (int e = 0; e < p.hdr.count; ++e) {
-            const int idx = it->second++;
-            if (idx >= granted_tiles * C) {
-              throw ConfigError(
-                  "ReduceSupport: rank " + std::to_string(p.hdr.src) +
-                  " sent beyond its credit window");
-            }
-            window.Fold(idx, UnpackElement(p, e, esz));
-          }
-        } else {
+        } else if (!credits.FoldChild(p, window, "ReduceSupport")) {
           throw ConfigError("ReduceSupport: unexpected packet: " +
                             p.DebugString());
         }
       }
       // (4) Send one pending credit to a child.
-      if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
-        ctx.net_out->Push(
-            MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
-        pending_credits.pop_back();
-      }
+      credits.SendOne(ctx, now);
       // NextCycle keeps the default poll-every-cycle wake hint, so the
       // event-driven engine polls this multi-FIFO loop each cycle exactly
       // like the synchronous one — but only while a reduce is in flight;
@@ -312,7 +280,7 @@ Kernel ScatterSupportKernel(SupportCtx ctx) {
           co_await LoopBack(op, cfg.count);
         } else {
           co_await AwaitReady(op, readies, g);
-          co_await StreamElements(op, g, cfg.count);
+          co_await StreamElements(op, {&g, 1}, cfg.count);
         }
       }
     }
@@ -339,7 +307,7 @@ Kernel GatherSupportKernel(SupportCtx ctx) {
         throw ConfigError("GatherSupport: expected a grant, got " +
                           grant.DebugString());
       }
-      co_await StreamElements(op, root, cfg.count);
+      co_await StreamElements(op, {&root, 1}, cfg.count);
     } else {
       for (const int g : cfg.comm_global) {
         if (g == root) {

@@ -69,13 +69,11 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
 
     // --- Up phase (reduce toward rel 0) ---
     FoldWindow window(cfg, C, sources);
-    std::map<int, int> child_next;  // per child global rank: next element
-    for (const int g : child_globals) child_next[g] = 0;
+    ChildCredits credits(cfg, child_globals, C);
+    credits.GrantAll();     // the explicit tile-0 grant
     int up_done = 0;        // elements fully folded and dispatched upward
                             // (at the root: delivered + staged downward)
-    int granted_tiles = 1;  // tiles granted to children (tile 0 below)
     int parent_tiles = 0;   // tiles of parent credit consumed this open
-    std::vector<int> pending_credits = child_globals;  // explicit tile-0 grant
     Packet up_pkt =
         MakeSync(ctx, parent_global < 0 ? 0 : parent_global, OpType::kData);
 
@@ -131,11 +129,7 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
         }
         if (advanced) {
           window.Retire(up_done);
-          ++up_done;
-          if (up_done % C == 0 && granted_tiles * C < cfg.count) {
-            ++granted_tiles;
-            for (const int g : child_globals) pending_credits.push_back(g);
-          }
+          credits.Emitted(++up_done);
         }
       }
       // (2) Fold one local element within the accumulation window.
@@ -152,18 +146,7 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
           deliver_idx = 0;
           have_down = true;
           fwd_pending = child_globals;
-        } else if (p.hdr.op == OpType::kData &&
-                   child_next.count(p.hdr.src) != 0) {
-          auto& next = child_next[p.hdr.src];
-          for (int e = 0; e < p.hdr.count; ++e) {
-            const int idx = next++;
-            if (idx >= granted_tiles * C) {
-              throw ConfigError(
-                  "AllreduceSupport: child exceeded its credit window");
-            }
-            window.Fold(idx, UnpackElement(p, e, esz));
-          }
-        } else {
+        } else if (!credits.FoldChild(p, window, "AllreduceSupport")) {
           throw ConfigError("AllreduceSupport: unexpected packet: " +
                             p.DebugString());
         }
@@ -190,11 +173,7 @@ Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo) {
         have_down = false;
       }
       // (6) Send one pending credit to a child.
-      if (!pending_credits.empty() && ctx.net_out->CanPush(now)) {
-        ctx.net_out->Push(
-            MakeSync(ctx, pending_credits.back(), OpType::kCredit), now);
-        pending_credits.pop_back();
-      }
+      credits.SendOne(ctx, now);
       co_await NextCycle{};
     }
     NotifyCollectiveSyncPoint(ctx);  // channel close

@@ -5,10 +5,12 @@
 /// Internal to src/core: the per-collective support kernels that
 /// MakeSupportKernel dispatches to, and the helpers they share (token
 /// unpacking, rank lookup, sync packets, element packing, the READY ledger,
-/// the fold window, and the streaming sub-coroutines).
+/// the fold window, the child credit ledger, and the streaming
+/// sub-coroutines).
 
 #include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -162,6 +164,71 @@ class FoldWindow {
   int local_next_ = 0;  ///< next application element to fold
 };
 
+/// The child side of the Reduce credit protocol, shared by the fold loops of
+/// Reduce's root and inner nodes and Allreduce's up phase: each child may
+/// stream the tiles of C elements it has been granted. Tile t + 1 is granted
+/// to every child once element (t + 1) * C - 1 has been emitted, and the
+/// grants leave as credit packets, one per cycle.
+class ChildCredits {
+ public:
+  ChildCredits(const CollConfig& cfg, const std::vector<int>& children,
+               int tile)
+      : children_(children),
+        esz_(SizeOf(cfg.type)),
+        count_(cfg.count),
+        tile_(tile) {
+    for (const int child : children) next_[child] = 0;
+  }
+
+  /// Queues a credit for every child. Reduce grants tile 0 implicitly;
+  /// Allreduce calls this once at open to grant it explicitly.
+  void GrantAll() {
+    pending_.insert(pending_.end(), children_.begin(), children_.end());
+  }
+  /// Called once `emitted` elements have left the window: at a tile
+  /// boundary, grants the next tile if one remains.
+  void Emitted(int emitted) {
+    if (emitted % tile_ == 0 && granted_tiles_ * tile_ < count_) {
+      ++granted_tiles_;
+      GrantAll();
+    }
+  }
+  /// Folds a data packet from a child into `window`; false if `p` is not
+  /// one.
+  bool FoldChild(const net::Packet& p, FoldWindow& window,
+                 const char* kernel) {
+    const auto it = next_.find(p.hdr.src);
+    if (p.hdr.op != net::OpType::kData || it == next_.end()) return false;
+    for (int e = 0; e < p.hdr.count; ++e) {
+      const int idx = it->second++;
+      if (idx >= granted_tiles_ * tile_) {
+        throw ConfigError(std::string(kernel) + ": rank " +
+                          std::to_string(p.hdr.src) +
+                          " sent beyond its credit window");
+      }
+      window.Fold(idx, UnpackElement(p, e, esz_));
+    }
+    return true;
+  }
+  /// Sends one queued credit if the network accepts a packet this cycle.
+  void SendOne(const SupportCtx& ctx, sim::Cycle now) {
+    if (!pending_.empty() && ctx.net_out->CanPush(now)) {
+      ctx.net_out->Push(MakeSync(ctx, pending_.back(), net::OpType::kCredit),
+                        now);
+      pending_.pop_back();
+    }
+  }
+
+ private:
+  std::vector<int> children_;
+  std::size_t esz_;
+  int count_;
+  int tile_;
+  std::map<int, int> next_;   ///< per child global rank: next element
+  int granted_tiles_ = 1;     ///< tile 0 is granted at open
+  std::vector<int> pending_;  ///< child global ranks owed a credit
+};
+
 /// Rendezvous bookkeeping: counts READY syncs per source rank, persisting
 /// across successive channel opens on the same port so that an early READY
 /// for the *next* open (from a fast rank) is credited correctly.
@@ -201,8 +268,10 @@ struct OpenCtx {
   const char* kernel;  ///< names the support kernel in error messages
 };
 
-/// Streams the application's next `n` elements to `dst` in full packets.
-sim::Task StreamElements(const OpenCtx& op, int dst, int n);
+/// Streams the application's next `n` elements in full packets, sending
+/// each packet to every rank of `dsts` in order (none: the elements are
+/// consumed and dropped).
+sim::Task StreamElements(const OpenCtx& op, std::span<const int> dsts, int n);
 /// Delivers `n` elements arriving in data packets from `src` to the
 /// application.
 sim::Task DeliverElements(const OpenCtx& op, int n, int src);

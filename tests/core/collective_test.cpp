@@ -423,5 +423,65 @@ TEST(Collectives, WrongPortKindThrows) {
                ConfigError);  // datatype mismatch with the built fabric
 }
 
+// ---------------------------------------------------------------------------
+// A collective that cannot finish names the blocked call and its role in
+// the deadlock report, in one format for every collective:
+// SMI_<Kind> (root|non-root, sending|awaiting result).
+// ---------------------------------------------------------------------------
+
+/// Runs `cluster` (with a short watchdog) and returns the DeadlockError text.
+std::string DeadlockText(Cluster& cluster) {
+  try {
+    cluster.Run();
+  } catch (const DeadlockError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected DeadlockError";
+  return "";
+}
+
+ClusterConfig ShortWatchdog() {
+  ClusterConfig config;
+  config.engine.watchdog_cycles = 2000;
+  return config;
+}
+
+TEST(Collectives, ReduceDeadlockNamesTheCall) {
+  // The root never opens its Reduce channel: the other ranks stream their
+  // first credit tile, then stall waiting for the next credit. (A missing
+  // leaf would instead leave the root's support kernel polling every cycle,
+  // which the watchdog counts as progress.)
+  Cluster cluster(Topology::Bus(4), ReduceSpec(), ShortWatchdog());
+  std::vector<std::vector<float>> results(4);
+  for (const int r : {1, 2, 3}) {
+    cluster.AddKernel(r,
+                      ReduceApp(cluster.context(r), 100, 0, ReduceOp::kAdd,
+                                16, results[static_cast<std::size_t>(r)]),
+                      "reduce");
+  }
+  const std::string text = DeadlockText(cluster);
+  EXPECT_NE(text.find("SMI_Reduce (non-root, sending)"), std::string::npos)
+      << text;
+}
+
+TEST(Collectives, GatherDeadlockNamesTheCall) {
+  // Rank 2 never opens its Gather channel: the root waits for its segment,
+  // and rank 3, never granted, stalls while streaming its own.
+  Cluster cluster(Topology::Bus(4), GatherSpec(), ShortWatchdog());
+  std::vector<std::vector<std::int32_t>> sinks(4);
+  for (const int r : {0, 1, 3}) {
+    cluster.AddKernel(r,
+                      GatherApp(cluster.context(r), 20, 0,
+                                sinks[static_cast<std::size_t>(r)]),
+                      "gather");
+  }
+  const std::string text = DeadlockText(cluster);
+  EXPECT_NE(text.find("SMI_Gather (root, awaiting result)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("SMI_Gather (non-root, sending)"), std::string::npos)
+      << text;
+}
+
 }  // namespace
 }  // namespace smi::core
