@@ -22,7 +22,11 @@
 /// sends ONE credit packet addressed to itself per tile; the CKR fan-out
 /// handlers replicate it down a fan tree over the communicator, so the grant
 /// reaches n-1 ranks with one packet per tree edge instead of the root
-/// serializing n-1 credit sends. The root's accumulation window is
+/// serializing n-1 credit sends. Each non-root sends the root one READY at
+/// open; the root grants tile 0 at its own open and further tiles once every
+/// READY is in, so a rank busy elsewhere holds at most one packet of this
+/// collective. The root grants an open only after folding the previous one,
+/// so successive opens never meet in the network. The root's window is
 /// min(tiles, 2 + window_cycles / C) tiles deep: the tile emitting now, one
 /// more, and the grant round-trip (CollConfig::window_cycles) — the
 /// bandwidth-delay product of DESIGN.md §12 — so grants stay ahead of even

@@ -10,13 +10,10 @@
 /// The in-network Reduce support kernel (CollAlgo::kInnet) and the handler
 /// plumbing it needs — see innet.h for the protocol overview.
 ///
-/// Flow control: the root grants credit tiles exactly like the linear/tree
-/// Reduce, but each grant is one self-addressed credit packet multicast down
-/// the CKR fan-out tree instead of n-1 unicast sends. A final credit after
-/// the last element doubles as a close barrier: a non-root leaves the open
-/// only once the root has folded every contribution, so packets of
-/// successive opens can never coexist in the network (and thus never meet in
-/// a combine buffer; the envelope epoch is a second, independent guard).
+/// Flow control: the root grants credit tiles like the linear/tree Reduce,
+/// but each grant is one self-addressed credit packet multicast down the CKR
+/// fan-out tree instead of n-1 unicast sends. Every tile, tile 0 included,
+/// is granted explicitly under the READY handshake of Bcast and Scatter.
 
 namespace smi::core {
 namespace {
@@ -122,11 +119,12 @@ void AppendInnetHandlers(std::vector<transport::HandlerTable>& tables,
 // The support kernel. Root: fold local + network contributions in a C-deep
 // window, count contributions per element (the network may have merged the
 // streams arbitrarily), emit on completion, multicast tile grants. Non-root:
-// stream envelope packets straight to the root inside the granted window;
-// the chunk boundaries are a pure function of (count, element size, C) so
-// every rank's packet for a given base covers the same element range.
+// send READY, then stream envelope packets to the root inside the granted
+// window; the chunk boundaries are a pure function of (count, element size,
+// C) so every rank's packet for a given base covers the same element range.
 // ---------------------------------------------------------------------------
 Kernel InnetReduceSupportKernel(SupportCtx ctx) {
+  ReadyLedger readies;  // root: READYs, including early ones for next open
   std::uint16_t epoch = 0;
   for (;;) {
     const CollConfig cfg =
@@ -154,14 +152,20 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
       const int win = win_tiles * C;
       FoldWindow window(cfg, win, n);
       int emitted = 0;
-      int granted = 1;          // tiles the non-roots may send
+      int ready = 0;            // non-roots, in relative order, seen READY
+      int granted = 0;          // tiles the non-roots may send
       int credits_to_send = 0;  // pending self-addressed grant multicasts
-      while (emitted < cfg.count) {
+      while (emitted < cfg.count || ready < n - 1) {
         const Cycle now = *ctx.now;
+        while (ready < n - 1 && readies.Has(RelToGlobal(cfg, ready + 1))) {
+          readies.Consume(RelToGlobal(cfg, ready + 1));
+          ++ready;
+        }
         // (0) Widen the granted window whenever the accumulator has room
-        // for a whole further tile (at most one grant per cycle; the first
-        // fires immediately, pipelining tile 1 behind tile 0).
-        if (granted < tiles && (granted + 1) * C <= emitted + win) {
+        // for a whole further tile (at most one grant per cycle), past tile
+        // 0 only once every non-root's READY is in.
+        if (granted < tiles && (granted + 1) * C <= emitted + win &&
+            (granted == 0 || ready == n - 1)) {
           ++granted;
           if (n > 1) ++credits_to_send;
         }
@@ -173,16 +177,18 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
         }
         // (2) Fold one local element within the window.
         window.FoldLocal(ctx, now, emitted, "InnetReduceSupport");
-        // (3) Fold one incoming envelope packet.
+        // (3) Fold one incoming envelope packet or record a READY.
         if (ctx.net_in->CanPop(now)) {
           const Packet p = ctx.net_in->Pop(now);
-          if (p.hdr.op == OpType::kCredit) {
+          if (p.hdr.op == OpType::kSync) {
+            readies.Record(p.hdr.src);
+          } else if (p.hdr.op == OpType::kCredit) {
             // The local CKR delivers the root's own grant multicast back
             // here (the fan-out replicates it to the children): ignore.
           } else if (p.hdr.op == OpType::kData) {
             if (InnetEnvelope::Epoch(p) != my_epoch) {
-              // The close barrier makes cross-open data unreachable; seeing
-              // it means the protocol (or a handler) is broken.
+              // Data flows only on its own open's grants, so seeing another
+              // open's means the protocol (or a handler) is broken.
               throw ConfigError(
                   "InnetReduceSupport: contribution from another channel "
                   "open: " + p.DebugString());
@@ -217,50 +223,38 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
         }
         co_await NextCycle{};
       }
-      // Close barrier: one final credit multicast releases the non-roots
-      // into their next open only after every contribution arrived here —
-      // no packet of this open can still sit in a combine buffer when the
-      // next open's traffic enters the network.
-      if (n > 1) {
-        co_await fifo_push(*ctx.net_out,
-                           MakeSync(ctx, ctx.my_global, OpType::kCredit));
-      }
     } else {
       // ---- non-root ----
       const int root_global = RelToGlobal(cfg, 0);
-      int done = 0;      // elements sent
-      int fill = 0;      // elements staged in `out`
-      int credits = 0;   // grants + the final close-barrier credit
+      co_await fifo_push(*ctx.net_out,
+                         MakeSync(ctx, root_global, OpType::kSync));
+      int done = 0;     // elements sent
+      int fill = 0;     // elements staged in `out`
+      int granted = 0;  // tiles granted so far
       bool flush_ready = false;
       Packet out = MakeSync(ctx, root_global, OpType::kData);
       // Per-tile pacing gates (see innet.h "stream pacing"): tile t may
       // start streaming pace_wait cycles after its grant arrived, so the
-      // contribution streams of all ranks meet at the funnels. Tile 0 is
-      // gated off the channel open; a not-yet-granted tile has gate 0 and
-      // is held back by the credit window instead.
+      // contribution streams of all ranks meet at the funnels.
       std::vector<Cycle> gates(static_cast<std::size_t>(tiles), 0);
-      gates[0] = *ctx.now + static_cast<Cycle>(cfg.pace_wait);
-      // The effective schedule of the tile being staged. Tile t starts at
-      // max(its gate, previous tile's start + C): both terms are aligned
+      // The effective schedule of the tile being staged. Tile t > 0 starts
+      // at max(its gate, previous tile's start + C): both terms are aligned
       // across ranks, so the max re-pins the aligned schedule at EVERY tile
       // boundary even when the root's deep window delivered the grant long
       // ago — without it the streams free-run between grants and drift
       // apart faster than the combine hold window.
-      int cur_tile = 0;
-      Cycle sched = gates[0];
-      while (done < cfg.count || credits < tiles) {
+      int cur_tile = -1;
+      Cycle sched = 0;
+      while (done < cfg.count) {
         const Cycle now = *ctx.now;
-        // Absorb one credit per cycle.
+        // Absorb one grant per cycle.
         if (ctx.net_in->CanPop(now)) {
           const Packet p = ctx.net_in->Pop(now);
-          if (p.hdr.op != OpType::kCredit) {
+          if (p.hdr.op != OpType::kCredit || granted == tiles) {
             throw ConfigError("InnetReduceSupport: unexpected packet at a "
                               "non-root: " + p.DebugString());
           }
-          ++credits;
-          // Gate the tile this credit granted (the close barrier re-stamps
-          // the last tile's gate, which is long past by then: harmless).
-          gates[static_cast<std::size_t>(std::min(credits, tiles - 1))] =
+          gates[static_cast<std::size_t>(granted++)] =
               now + static_cast<Cycle>(cfg.pace_wait);
         }
         // Flush before staging so a full envelope departs in the same cycle
@@ -277,16 +271,15 @@ Kernel InnetReduceSupportKernel(SupportCtx ctx) {
           flush_ready = false;
         }
         // Stage one local element inside the granted window, past the
-        // tile's pacing gate. The final (close-barrier) credit never widens
-        // the window.
-        const int granted = 1 + std::min(credits, tiles - 1);
+        // tile's pacing gate.
         const int idx = done + fill;
         if (idx < granted * C && idx / C != cur_tile) {
-          // Entering a granted tile: its gate was stamped when its credit
+          // Entering a granted tile: its gate was stamped when its grant
           // arrived, so the schedule advance below sees the real gate.
-          cur_tile = idx / C;
-          sched = std::max(gates[static_cast<std::size_t>(cur_tile)],
-                           sched + static_cast<Cycle>(C));
+          const Cycle gate = gates[static_cast<std::size_t>(++cur_tile)];
+          sched = cur_tile == 0
+                      ? gate
+                      : std::max(gate, sched + static_cast<Cycle>(C));
         }
         if (!flush_ready && idx < cfg.count && idx < granted * C &&
             now >= sched && ctx.app_in->CanPop(now)) {

@@ -39,8 +39,8 @@ sim::Kernel AllreduceSupportKernel(SupportCtx ctx, CollAlgo algo);
 /// Requires the matching handler tables to be installed (Cluster does this
 /// when a ProgramSpec carries an innet Reduce op); without them the protocol
 /// is still correct — packets simply never merge and credits never fan out
-/// past the root — but the root then waits forever for credits it granted
-/// only to itself, so the tables are not optional in practice.
+/// past the root — but the root then starves until the watchdog fires, so
+/// the tables are not optional in practice.
 sim::Kernel InnetReduceSupportKernel(SupportCtx ctx);
 
 inline CollConfig GetConfig(CollToken&& tok, const char* kernel) {

@@ -238,7 +238,6 @@ bool Engine::StepCycleSync() {
     // Either never started, or its blocked operation just completed.
     ++whole_.resumes;
     if (slot.probe != nullptr) slot.probe->OnResume(now_);
-    progress = true;
     slot.kernel.Resume();
     CheckKernelException(slot);
     if (slot.done && slot.probe != nullptr) slot.probe->OnDone(now_);
@@ -485,7 +484,6 @@ bool Engine::StepCycleEvent(Partition& p) {
     }
     CountAt(p.resumes, now);
     if (slot.probe != nullptr) slot.probe->OnResume(now);
-    progress = true;
     slot.kernel.Resume();
     CheckKernelException(slot);
     if (slot.done) {

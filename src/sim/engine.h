@@ -12,10 +12,10 @@
 ///
 /// Readiness checks in phases 1 and 2 only observe state committed at the
 /// previous boundary, so results do not depend on registration order.
-/// A watchdog raises DeadlockError when nothing moves for a configurable
-/// number of cycles while non-daemon kernels are still pending — the
-/// simulated analogue of the user-caused communication deadlocks the paper
-/// warns about in §3.3.
+/// A watchdog raises DeadlockError when no FIFO transfers anything for a
+/// configurable number of cycles while non-daemon kernels are pending (a
+/// kernel that merely polls is no progress) — the simulated analogue of the
+/// user-caused communication deadlocks the paper warns about in §3.3.
 ///
 /// ## Schedulers
 ///
@@ -151,9 +151,9 @@ enum class SchedulerKind {
 
 struct EngineConfig {
   ClockConfig clock;
-  /// Cycles without any FIFO transfer or kernel resume before the watchdog
-  /// declares deadlock. Must comfortably exceed the longest structural
-  /// latency in the fabric (links are ~100 cycles).
+  /// Cycles without any FIFO transfer before the watchdog declares deadlock.
+  /// Must exceed the longest stretch with no FIFO transfer: link latency
+  /// (~100 cycles) and any compute phase spent in `WaitCycles`.
   Cycle watchdog_cycles = 100000;
   /// Hard cap on simulated cycles (0 = unlimited). A safety net for tests.
   Cycle max_cycles = 0;
@@ -418,7 +418,7 @@ class Engine {
     std::size_t rx_comp = 0;
   };
 
-  /// One synchronous simulation cycle; returns true if progress happened.
+  /// One synchronous simulation cycle; returns true if a FIFO transferred.
   bool StepCycleSync();
   /// One event-driven cycle on `p` (only due entities are visited).
   bool StepCycleEvent(Partition& p);

@@ -173,9 +173,9 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenRow{"ReduceTreeRoot5", CollKind::kReduce, CollAlgo::kTree, 5,
                   2063, 7683, 100, 130720},
         GoldenRow{"ReduceInnetRoot0", CollKind::kReduce, CollAlgo::kInnet, 0,
-                  810, 6808, 102, 130720},
+                  1161, 7722, 103, 130720},
         GoldenRow{"ReduceInnetRoot5", CollKind::kReduce, CollAlgo::kInnet, 5,
-                  840, 7048, 111, 130720},
+                  1172, 7763, 123, 130720},
         GoldenRow{"ScatterRoot0", CollKind::kScatter, CollAlgo::kLinear, 0,
                   789, 1225, 84, 153120},
         GoldenRow{"ScatterRoot5", CollKind::kScatter, CollAlgo::kLinear, 5,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/smi.h"
@@ -448,9 +449,7 @@ ClusterConfig ShortWatchdog() {
 
 TEST(Collectives, ReduceDeadlockNamesTheCall) {
   // The root never opens its Reduce channel: the other ranks stream their
-  // first credit tile, then stall waiting for the next credit. (A missing
-  // leaf would instead leave the root's support kernel polling every cycle,
-  // which the watchdog counts as progress.)
+  // first credit tile, then stall waiting for the next credit.
   Cluster cluster(Topology::Bus(4), ReduceSpec(), ShortWatchdog());
   std::vector<std::vector<float>> results(4);
   for (const int r : {1, 2, 3}) {
@@ -462,6 +461,50 @@ TEST(Collectives, ReduceDeadlockNamesTheCall) {
   const std::string text = DeadlockText(cluster);
   EXPECT_NE(text.find("SMI_Reduce (non-root, sending)"), std::string::npos)
       << text;
+}
+
+/// Runs a Reduce whose leaf rank 2 never opens under `kind`; returns the
+/// cycle the watchdog fired at and its report.
+sim::Cycle ReduceMissingLeafDeadlock(sim::SchedulerKind kind, unsigned threads,
+                                     std::string& text) {
+  ClusterConfig config = ShortWatchdog();
+  config.engine.max_cycles = 100000;  // a missed diagnosis fails, not hangs
+  config.engine.scheduler = kind;
+  config.engine.threads = threads;
+  Cluster cluster(Topology::Bus(4), ReduceSpec(), config);
+  std::vector<std::vector<float>> results(4);
+  for (const int r : {0, 1, 3}) {
+    cluster.AddKernel(r,
+                      ReduceApp(cluster.context(r), 100, 0, ReduceOp::kAdd,
+                                16, results[static_cast<std::size_t>(r)]),
+                      "reduce");
+  }
+  text = DeadlockText(cluster);
+  return cluster.engine().now();
+}
+
+TEST(Collectives, ReduceMissingLeafIsDiagnosed) {
+  // The root's support kernel polls every cycle for rank 2's contributions.
+  // Polling moves nothing through a FIFO, so the watchdog fires, at the
+  // same cycle under every scheduler.
+  std::string sync_text;
+  const sim::Cycle sync_cycle = ReduceMissingLeafDeadlock(
+      sim::SchedulerKind::kSynchronous, 1, sync_text);
+  EXPECT_EQ(sync_cycle, 2366u);
+  EXPECT_NE(sync_text.find("SMI_Reduce (root, awaiting result)"),
+            std::string::npos)
+      << sync_text;
+  std::string text;
+  EXPECT_EQ(ReduceMissingLeafDeadlock(sim::SchedulerKind::kEventDriven, 1,
+                                      text),
+            sync_cycle);
+  EXPECT_EQ(text, sync_text);
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(ReduceMissingLeafDeadlock(sim::SchedulerKind::kParallel,
+                                        threads, text),
+              sync_cycle)
+        << "threads=" << threads;
+  }
 }
 
 TEST(Collectives, GatherDeadlockNamesTheCall) {

@@ -5,16 +5,19 @@
 /// root placement (default and re-targeted via ConfigureInnetHandlers),
 /// counts straddling every chunking edge (partial last packet, partial last
 /// tile, single tile), back-to-back channel opens (epoch advance), the
-/// build-time validation of mismatched opens, and bit-identity across the
-/// three schedulers.
+/// build-time validation of mismatched opens, bit-identity across the three
+/// schedulers, and the Reduce after other collective traffic on a shared
+/// fabric.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/error.h"
 #include "core/innet.h"
 #include "core/smi.h"
 
@@ -147,7 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Epoch advance: back-to-back opens on the same port must not cross-combine
-// (the close barrier plus the envelope epoch guard both protect this).
+// (the grant order plus the envelope epoch guard both protect this).
 
 TEST(InnetReduce, SuccessiveOpensDoNotCrossCombine) {
   ProgramSpec spec;
@@ -351,6 +354,181 @@ TEST(InnetReduce, SchedulersAreBitIdentical) {
     EXPECT_EQ(par.kernel_resumes, sync.kernel_resumes)
         << "threads=" << threads;
     EXPECT_EQ(par.counters, sync.counters) << "threads=" << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The in-network Reduce after other collectives on the same 4x4 torus, with
+// one port per collective kind declared. A rank still busy in an earlier
+// collective holds at most the root's tile-0 grant in its endpoint FIFO, so
+// the earlier collective's traffic never queues behind the Reduce's.
+
+enum class MixStep { kBcastTree, kBcastOne, kReduceTree, kGather, kReduceInnet };
+
+constexpr int kMixPortBcast = 0;
+constexpr int kMixPortReduceTree = 1;
+constexpr int kMixPortGather = 4;
+constexpr int kMixPortInnet = 5;
+
+ProgramSpec MixSpec() {
+  ProgramSpec spec;
+  spec.Add(OpSpec::Bcast(kMixPortBcast, DataType::kInt, CollAlgo::kTree));
+  spec.Add(
+      OpSpec::Reduce(kMixPortReduceTree, DataType::kInt, CollAlgo::kTree));
+  spec.Add(OpSpec::Allreduce(2, DataType::kInt, CollAlgo::kTree));
+  spec.Add(OpSpec::Scatter(3, DataType::kInt));
+  spec.Add(OpSpec::Gather(kMixPortGather, DataType::kInt));
+  spec.Add(OpSpec::Reduce(kMixPortInnet, DataType::kInt, CollAlgo::kInnet,
+                          ReduceOp::kAdd));
+  return spec;
+}
+
+/// Runs `steps` back to back with `count` elements per rank (one for
+/// kBcastOne), all rooted at rank 0; the root keeps the in-network sums.
+Kernel MixApp(Context& ctx, std::vector<MixStep> steps, int count,
+              std::vector<std::int32_t>& sums) {
+  const bool root = ctx.rank() == 0;
+  for (const MixStep step : steps) {
+    if (step == MixStep::kBcastTree || step == MixStep::kBcastOne) {
+      const int n = step == MixStep::kBcastOne ? 1 : count;
+      BcastChannel ch = ctx.OpenBcastChannel(n, DataType::kInt, kMixPortBcast,
+                                             0, ctx.world());
+      for (int i = 0; i < n; ++i) {
+        std::int32_t v = ContribValue(ctx.rank(), i);
+        co_await ch.Bcast(v);
+      }
+    } else if (step == MixStep::kGather) {
+      GatherChannel ch = ctx.OpenGatherChannel(count, DataType::kInt,
+                                               kMixPortGather, 0, ctx.world());
+      // The root's own segment comes first (comm rank 0).
+      const int calls = root ? count * ctx.world_size() : count;
+      for (int i = 0; i < calls; ++i) {
+        std::int32_t v = 0;
+        co_await ch.Gather<std::int32_t>(
+            ContribValue(ctx.rank(), i < count ? i : 0), root ? &v : nullptr);
+      }
+    } else {
+      const bool innet = step == MixStep::kReduceInnet;
+      ReduceChannel ch = ctx.OpenReduceChannel(
+          count, DataType::kInt, ReduceOp::kAdd,
+          innet ? kMixPortInnet : kMixPortReduceTree, 0, ctx.world());
+      for (int i = 0; i < count; ++i) {
+        std::int32_t v = 0;
+        co_await ch.Reduce(ContribValue(ctx.rank(), i), v);
+        if (root && innet) sums.push_back(v);
+      }
+    }
+  }
+}
+
+void AddMixKernels(Cluster& cluster, const std::vector<MixStep>& steps,
+                   int count, std::vector<std::int32_t>& sums) {
+  for (int r = 0; r < cluster.num_ranks(); ++r) {
+    cluster.AddKernel(r, MixApp(cluster.context(r), steps, count, sums),
+                      "mix");
+  }
+}
+
+sim::Cycle RunMix(const std::vector<MixStep>& steps, int count,
+                  const ClusterConfig& config,
+                  std::vector<std::int32_t>& sums) {
+  Cluster cluster(Topology::Torus2D(4, 4), MixSpec(), config);
+  AddMixKernels(cluster, steps, count, sums);
+  return cluster.Run().cycles;
+}
+
+ClusterConfig WithScheduler(SchedulerKind kind, unsigned threads) {
+  ClusterConfig config;
+  config.engine.scheduler = kind;
+  config.engine.threads = threads;
+  return config;
+}
+
+struct MixCase {
+  const char* name;
+  std::vector<MixStep> steps;
+};
+
+void PrintTo(const MixCase& c, std::ostream* os) { *os << c.name; }
+
+class InnetAfterTraffic : public ::testing::TestWithParam<MixCase> {};
+
+TEST_P(InnetAfterTraffic, CompletesAndMatchesHostSum) {
+  constexpr int kCount = 1024;
+  const std::vector<MixStep>& steps = GetParam().steps;
+  std::vector<std::int32_t> sync_sums;
+  const sim::Cycle sync_cycles =
+      RunMix(steps, kCount, WithScheduler(SchedulerKind::kSynchronous, 1),
+             sync_sums);
+  ASSERT_EQ(sync_sums.size(), static_cast<std::size_t>(kCount));
+  for (int i = 0; i < kCount; ++i) {
+    ASSERT_EQ(sync_sums[static_cast<std::size_t>(i)],
+              HostReduce<std::int32_t>(ReduceOp::kAdd, 16, i))
+        << "elem " << i;
+  }
+  std::vector<std::int32_t> event_sums;
+  EXPECT_EQ(RunMix(steps, kCount,
+                   WithScheduler(SchedulerKind::kEventDriven, 1), event_sums),
+            sync_cycles);
+  EXPECT_EQ(event_sums, sync_sums);
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    std::vector<std::int32_t> par_sums;
+    EXPECT_EQ(RunMix(steps, kCount,
+                     WithScheduler(SchedulerKind::kParallel, threads),
+                     par_sums),
+              sync_cycles)
+        << "threads=" << threads;
+    EXPECT_EQ(par_sums, sync_sums) << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Torus4x4, InnetAfterTraffic,
+    ::testing::Values(
+        MixCase{"BcastTree_ReduceInnet",
+                {MixStep::kBcastTree, MixStep::kReduceInnet}},
+        MixCase{"ReduceTree_ReduceInnet",
+                {MixStep::kReduceTree, MixStep::kReduceInnet}},
+        MixCase{"Gather_ReduceInnet",
+                {MixStep::kGather, MixStep::kReduceInnet}},
+        MixCase{"BcastTree_BcastOne_ReduceInnet",
+                {MixStep::kBcastTree, MixStep::kBcastOne,
+                 MixStep::kReduceInnet}}),
+    [](const ::testing::TestParamInfo<MixCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The linear and tree Reduce still stream tile 0 before the parent opens:
+// after a Gather, the leaves' tile-0 packets fill endpoint FIFOs the Gather
+// needs. The run cannot finish; it must end in a diagnosis at the same
+// cycle under every scheduler, not spin to the cycle cap.
+sim::Cycle GatherThenTreeReduceDeadlock(ClusterConfig config) {
+  config.engine.watchdog_cycles = 20000;
+  config.engine.max_cycles = 200000;
+  Cluster cluster(Topology::Torus2D(4, 4), MixSpec(), config);
+  std::vector<std::int32_t> sums;
+  AddMixKernels(cluster, {MixStep::kGather, MixStep::kReduceTree}, 256, sums);
+  try {
+    cluster.Run();
+  } catch (const DeadlockError&) {
+    return cluster.engine().now();
+  }
+  ADD_FAILURE() << "expected DeadlockError";
+  return 0;
+}
+
+TEST(InnetAfterTraffic, GatherThenTreeReduceHangIsDiagnosed) {
+  const sim::Cycle sync_cycle = GatherThenTreeReduceDeadlock(
+      WithScheduler(SchedulerKind::kSynchronous, 1));
+  EXPECT_EQ(sync_cycle, 30807u);
+  EXPECT_EQ(GatherThenTreeReduceDeadlock(
+                WithScheduler(SchedulerKind::kEventDriven, 1)),
+            sync_cycle);
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(GatherThenTreeReduceDeadlock(
+                  WithScheduler(SchedulerKind::kParallel, threads)),
+              sync_cycle)
+        << "threads=" << threads;
   }
 }
 

@@ -431,6 +431,35 @@ TEST(EngineDifferential, DeadlockFiresAtTheSameCycle) {
   }
 }
 
+Kernel Poller() {
+  for (;;) co_await sim::NextCycle{};
+}
+
+/// Two kernels poll every cycle and move nothing: a livelock. Resumes are
+/// not progress, so the watchdog fires exactly `watchdog_cycles` in.
+Cycle RunLivelocked(SchedulerKind kind, unsigned threads = 1) {
+  EngineConfig config;
+  config.scheduler = kind;
+  config.threads = threads;
+  config.watchdog_cycles = 5000;
+  config.max_cycles = 100000;  // a missed diagnosis fails, not hangs
+  Engine engine(config);
+  engine.AddKernel(Poller(), "poller-a");
+  engine.AddKernel(Poller(), "poller-b");
+  EXPECT_THROW(engine.Run(), DeadlockError);
+  return engine.now();
+}
+
+TEST(EngineDifferential, PollingLivelockFiresAtTheSameCycle) {
+  const Cycle sync_cycle = RunLivelocked(SchedulerKind::kSynchronous);
+  EXPECT_EQ(sync_cycle, 5000u);
+  EXPECT_EQ(RunLivelocked(SchedulerKind::kEventDriven), sync_cycle);
+  for (const unsigned threads : kThreadCounts) {
+    EXPECT_EQ(RunLivelocked(SchedulerKind::kParallel, threads), sync_cycle)
+        << "threads=" << threads;
+  }
+}
+
 /// Multi-rank deadlock (§3.3 shape: a receiver whose matching sender never
 /// pushes): the parallel scheduler must fire at the same cycle as the
 /// sequential ones even when the blocked kernels live in different
